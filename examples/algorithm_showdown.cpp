@@ -2,18 +2,17 @@
 // allocator in the library (CPA, HCPA, MCPA, plus the SEQ / MAXPAR
 // baselines), under each simulator cost model, and execute each schedule
 // on the emulated cluster. Shows how the model a scheduler trusts changes
-// both its decisions and how those decisions fare in reality.
+// both its decisions and how those decisions fare in reality. Every
+// (model, allocator) cell is one exp::Session request.
 //
 // Run:  ./algorithm_showdown [dag-seed] [matrix-dim]
 #include <iostream>
 
 #include "mtsched/core/table.hpp"
+#include "mtsched/dag/export.hpp"
 #include "mtsched/dag/generator.hpp"
 #include "mtsched/exp/lab.hpp"
-#include "mtsched/models/cost_model.hpp"
-#include "mtsched/sched/allocation.hpp"
-#include "mtsched/sched/mapping.hpp"
-#include "mtsched/sim/simulator.hpp"
+#include "mtsched/exp/session.hpp"
 
 int main(int argc, char** argv) {
   using namespace mtsched;
@@ -29,29 +28,31 @@ int main(int argc, char** argv) {
             << inst.graph.num_levels() << " levels\n\n";
 
   exp::Lab lab;
-  const int P = lab.spec().num_nodes;
+  const exp::Session session(lab);
+  exp::ScheduleRequest req;
+  req.dag_text = dag::to_text(inst.graph);
+  req.exp_seed = 42;
 
   core::TextTable table;
   table.set_header({"model", "algorithm", "total procs", "max p", "sim [s]",
                     "exp [s]", "err %"});
-  for (auto kind :
-       {models::CostModelKind::Analytical, models::CostModelKind::Profile,
-        models::CostModelKind::Empirical}) {
-    const auto& model = lab.model(kind);
-    const models::SchedCostAdapter cost(model);
-    const sim::Simulator simulator(model);
+  for (const auto kind : models::all_kinds()) {
+    req.model.kind = kind;
     for (const char* name : {"CPA", "HCPA", "MCPA", "SEQ", "MAXPAR"}) {
-      const auto algo = sched::make_allocator(name);
-      const auto alloc = algo->allocate(inst.graph, cost, P);
-      const auto schedule = sched::ListMapper{}.map(inst.graph, alloc, cost, P);
-      const double sim_mk = simulator.makespan(inst.graph, schedule);
-      const double exp_mk = lab.rig().makespan(inst.graph, schedule, 42);
+      req.algorithm = name;
+      const auto resp = session.run(req);
+      if (!resp.ok()) {
+        std::cerr << name << ": " << resp.message << '\n';
+        return 1;
+      }
+      const double sim_mk = resp.makespan_sim;
+      const double exp_mk = resp.makespan_exp;
       int total = 0, biggest = 0;
-      for (int a : alloc) {
+      for (int a : resp.allocation) {
         total += a;
         biggest = std::max(biggest, a);
       }
-      table.add_row({model.name(), name, std::to_string(total),
+      table.add_row({resp.model, name, std::to_string(total),
                      std::to_string(biggest), core::fmt(sim_mk, 1),
                      core::fmt(exp_mk, 1),
                      core::fmt(std::abs(exp_mk - sim_mk) / sim_mk * 100, 1)});

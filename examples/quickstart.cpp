@@ -7,6 +7,9 @@
 //   4. simulate each schedule and execute it "for real" on the TGrid
 //      emulator; compare makespans and verdicts.
 //
+// Steps 3 and 4 are one exp::Campaign over a one-DAG suite, read back
+// per model through the CampaignResult::case_study pivot.
+//
 // Run:  ./quickstart [seed]
 #include <cstdint>
 #include <iostream>
@@ -14,7 +17,7 @@
 #include "mtsched/core/table.hpp"
 #include "mtsched/dag/export.hpp"
 #include "mtsched/dag/generator.hpp"
-#include "mtsched/exp/case_study.hpp"
+#include "mtsched/exp/campaign.hpp"
 #include "mtsched/exp/lab.hpp"
 
 int main(int argc, char** argv) {
@@ -40,28 +43,30 @@ int main(int argc, char** argv) {
   exp::Lab lab;
 
   // 3+4. Schedule, simulate, execute under each cost model.
+  exp::CampaignSpec spec;  // algorithms default to HCPA vs MCPA
+  spec.suites = {exp::SuiteSpec{params.seed, {instance}}};
+  spec.models = exp::lab_models(lab, models::all_kinds());
+  spec.exp_seeds = {42};
+  const auto result = exp::Campaign(lab.rig()).run(spec);
+
   core::TextTable table;
   table.set_header({"model", "algo", "alloc", "sim [s]", "exp [s]",
                     "err % (of sim)"});
-  const sched::HcpaAllocator hcpa;
-  const sched::McpaAllocator mcpa;
-  for (auto kind :
-       {models::CostModelKind::Analytical, models::CostModelKind::Profile,
-        models::CostModelKind::Empirical}) {
-    const auto& model = lab.model(kind);
-    const exp::CaseStudy study(model, lab.rig());
-    const auto outcome = study.evaluate(instance, hcpa, mcpa, /*exp_seed=*/42);
-    for (const exp::AlgoOutcome* a : {&outcome.first, &outcome.second}) {
+  for (const auto& model : spec.models) {
+    const auto cs = result.case_study(model.label, "HCPA", "MCPA",
+                                      params.seed, spec.exp_seeds[0]);
+    const exp::DagOutcome& outcome = cs.outcomes.at(0);
+    for (const exp::RunRecord* r : {&outcome.first, &outcome.second}) {
       std::string alloc;
-      for (std::size_t i = 0; i < a->allocation.size(); ++i) {
-        alloc += (i ? "," : "") + std::to_string(a->allocation[i]);
+      for (std::size_t i = 0; i < r->allocation.size(); ++i) {
+        alloc += (i ? "," : "") + std::to_string(r->allocation[i]);
       }
-      table.add_row({model.name(), a->algorithm, alloc,
-                     core::fmt(a->makespan_sim, 1),
-                     core::fmt(a->makespan_exp, 1),
-                     core::fmt(a->sim_error_percent(), 1)});
+      table.add_row({model.label, r->algorithm, alloc,
+                     core::fmt(r->makespan_sim, 1),
+                     core::fmt(r->makespan_exp, 1),
+                     core::fmt(r->sim_error_percent(), 1)});
     }
-    std::cout << model.name() << ": simulation says "
+    std::cout << model.label << ": simulation says "
               << (outcome.rel_sim() < 0 ? "HCPA" : "MCPA")
               << " wins, experiment says "
               << (outcome.rel_exp() < 0 ? "HCPA" : "MCPA")

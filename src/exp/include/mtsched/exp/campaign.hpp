@@ -11,9 +11,10 @@
 // Determinism is a hard contract: a campaign run with N threads produces
 // results byte-identical to the same campaign with one thread. Two
 // mechanisms guarantee it:
-//   * every job derives its own experiment seed from (campaign exp seed,
-//     algorithm slot, dag seed) exactly as exp::CaseStudy does — no shared
-//     RNG, no run-order dependence;
+//   * every job derives its own experiment seed by hashing (campaign exp
+//     seed, algorithm slot, dag seed) — the first algorithm of the spec
+//     is slot 1, the second slot 2, and so on — so there is no shared
+//     RNG and no run-order dependence;
 //   * records are written into preallocated slots indexed by job id, so
 //     completion order never shows.
 //
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "mtsched/dag/generator.hpp"
-#include "mtsched/exp/case_study.hpp"
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/models/cost_model.hpp"
 #include "mtsched/obs/sink.hpp"
@@ -65,24 +65,26 @@ struct AlgoSpec {
   std::string label;
   ScheduleFn schedule;
 
-  /// Stream id mixed into each job's experiment seed. The default -1
-  /// means "use my position in CampaignSpec::algorithms + 1", which
-  /// reproduces exp::CaseStudy's seeding (first algorithm -> 1, second
-  /// -> 2: the two schedules are separate cluster runs with their own
-  /// weather). 0 means "use the campaign exp seed unmixed" — for studies
-  /// that deliberately execute all variants under identical weather.
+  /// Stream id mixed into each job's experiment seed:
+  /// run_seed = core::hash_mix(exp_seed, slot, dag seed). The default -1
+  /// means "use my position in CampaignSpec::algorithms + 1" (first
+  /// algorithm -> 1, second -> 2: the two schedules are separate cluster
+  /// runs with their own weather). 0 means "use the campaign exp seed
+  /// unmixed" — for studies that deliberately execute all variants under
+  /// identical weather.
   int seed_slot = -1;
 
   /// The standard two-step scheduler: `make_allocator(name)` allocation
-  /// followed by list mapping with `strategy`. `label` defaults to `name`.
+  /// followed by list mapping with `strategy` on a flat platform.
+  /// `label` defaults to `name`.
   static AlgoSpec allocator(
       const std::string& name,
       sched::MappingStrategy strategy = sched::MappingStrategy::EarliestStart,
       std::string label = {});
 
   /// Platform-aware variant: the list mapper learns the rack structure
-  /// from `platform` (required for MappingStrategy::RackAware; other
-  /// strategies behave as above).
+  /// from `platform` (required for MappingStrategy::RackAware; a platform
+  /// without a topology behaves exactly as above).
   static AlgoSpec allocator(const std::string& name,
                             sched::MappingStrategy strategy,
                             const platform::ClusterSpec& platform,
@@ -107,7 +109,9 @@ struct CampaignSpec {
   std::vector<SuiteSpec> suites;            ///< default: {table1(2011)}
   std::vector<AlgoSpec> algorithms;         ///< default: {HCPA, MCPA}
   std::vector<ModelRef> models;             ///< required, non-empty
-  std::vector<int> dims;                    ///< keep only these n; empty = all
+  /// Keep only these n; empty = all. Every listed n must occur in some
+  /// suite.
+  std::vector<int> dims;
   std::vector<std::uint64_t> exp_seeds{42};
 
   /// Worker threads of the parallel stage. 0 means "one per hardware
@@ -131,6 +135,38 @@ struct RunRecord {
 
   /// |exp - sim| / sim in percent (the paper's Figure 8 metric).
   double sim_error_percent() const;
+};
+
+/// Both algorithms of a pivot on one DAG.
+struct DagOutcome {
+  std::string dag_name;
+  int matrix_dim = 0;
+  RunRecord first;   ///< HCPA in the paper's figures
+  RunRecord second;  ///< MCPA
+
+  /// Relative makespan of `first` w.r.t. `second` (negative = first is
+  /// faster), as in the paper's bar charts.
+  double rel_sim() const { return first.makespan_sim / second.makespan_sim - 1.0; }
+  double rel_exp() const { return first.makespan_exp / second.makespan_exp - 1.0; }
+
+  /// True when simulation and experiment disagree about which algorithm
+  /// wins (the paper's headline failure mode). Exact ties — identical
+  /// schedules — on either side count as agreement.
+  bool verdict_flip() const;
+};
+
+/// One (model, suite, exp seed) slice of a campaign pivoted per DAG: the
+/// paper's figure-oriented view (Figures 1/5/7/8).
+struct CaseStudyResult {
+  std::string model_name;
+  std::vector<DagOutcome> outcomes;  ///< suite order
+
+  int num_flips() const;
+  std::vector<const DagOutcome*> with_dim(int matrix_dim) const;
+
+  /// All sim_error_percent values of the given side ("first"/"second").
+  std::vector<double> errors_first() const;
+  std::vector<double> errors_second() const;
 };
 
 /// Execution metrics of one campaign run. Only `jobs`, `cache_hits` and
@@ -179,7 +215,8 @@ class Campaign {
 
   /// Expands and executes `spec`. Empty `suites`/`algorithms` fall back
   /// to the documented defaults; `models` must be non-empty and every
-  /// model must live on a platform matching the rig's node count.
+  /// model must live on a platform matching the rig's node count. An
+  /// invalid spec throws core::InvalidArgument before any job runs.
   ///
   /// `sink` is the campaign's observation channel (may be null):
   ///   * sink->track() lanes are created at expansion time, one per

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -43,24 +44,15 @@ std::vector<ModelRef> lab_models(
 AlgoSpec AlgoSpec::allocator(const std::string& name,
                              sched::MappingStrategy strategy,
                              std::string label) {
-  // make_allocator validates the name eagerly so a typo fails at spec
-  // construction, not inside a pool worker.
-  std::shared_ptr<const sched::Allocator> alloc = sched::make_allocator(name);
-  AlgoSpec spec;
-  spec.label = label.empty() ? name : std::move(label);
-  spec.schedule = [alloc, strategy](const dag::Dag& g,
-                                    const models::CostModel& model, int P) {
-    const models::SchedCostAdapter cost(model);
-    const auto sizes = alloc->allocate(g, cost, P);
-    return sched::ListMapper(strategy).map(g, sizes, cost, P);
-  };
-  return spec;
+  return allocator(name, strategy, platform::ClusterSpec{}, std::move(label));
 }
 
 AlgoSpec AlgoSpec::allocator(const std::string& name,
                              sched::MappingStrategy strategy,
                              const platform::ClusterSpec& platform,
                              std::string label) {
+  // make_allocator validates the name eagerly so a typo fails at spec
+  // construction, not inside a pool worker.
   std::shared_ptr<const sched::Allocator> alloc = sched::make_allocator(name);
   AlgoSpec spec;
   spec.label = label.empty() ? name : std::move(label);
@@ -83,6 +75,41 @@ SuiteSpec SuiteSpec::table1(std::uint64_t base_seed, int num_tasks) {
 double RunRecord::sim_error_percent() const {
   MTSCHED_REQUIRE(makespan_sim > 0.0, "simulated makespan must be positive");
   return std::abs(makespan_exp - makespan_sim) / makespan_sim * 100.0;
+}
+
+bool DagOutcome::verdict_flip() const {
+  constexpr double kTie = 1e-9;
+  if (std::abs(rel_sim()) < kTie || std::abs(rel_exp()) < kTie) return false;
+  return (rel_sim() < 0.0) != (rel_exp() < 0.0);
+}
+
+int CaseStudyResult::num_flips() const {
+  int n = 0;
+  for (const auto& o : outcomes)
+    if (o.verdict_flip()) ++n;
+  return n;
+}
+
+std::vector<const DagOutcome*> CaseStudyResult::with_dim(
+    int matrix_dim) const {
+  std::vector<const DagOutcome*> out;
+  for (const auto& o : outcomes)
+    if (o.matrix_dim == matrix_dim) out.push_back(&o);
+  return out;
+}
+
+std::vector<double> CaseStudyResult::errors_first() const {
+  std::vector<double> e;
+  e.reserve(outcomes.size());
+  for (const auto& o : outcomes) e.push_back(o.first.sim_error_percent());
+  return e;
+}
+
+std::vector<double> CaseStudyResult::errors_second() const {
+  std::vector<double> e;
+  e.reserve(outcomes.size());
+  for (const auto& o : outcomes) e.push_back(o.second.sim_error_percent());
+  return e;
 }
 
 std::string CampaignMetrics::describe() const {
@@ -144,14 +171,8 @@ CaseStudyResult CampaignResult::case_study(const std::string& model_label,
                     "DAG '" + dag_name + "' is missing algorithm '" +
                         (first ? second_algo : first_algo) +
                         "' in this campaign slice");
-    DagOutcome o;
-    o.dag_name = dag_name;
-    o.matrix_dim = first->matrix_dim;
-    o.first = AlgoOutcome{first->algorithm, first->allocation,
-                          first->makespan_sim, first->makespan_exp};
-    o.second = AlgoOutcome{second->algorithm, second->allocation,
-                           second->makespan_sim, second->makespan_exp};
-    result.outcomes.push_back(std::move(o));
+    result.outcomes.push_back(
+        DagOutcome{dag_name, first->matrix_dim, *first, *second});
   }
   return result;
 }
@@ -199,6 +220,24 @@ CampaignResult Campaign::run(const CampaignSpec& spec,
                       "algorithm '" + a.label + "' has no schedule function");
       MTSCHED_REQUIRE(labels.insert(a.label).second,
                       "duplicate algorithm label '" + a.label + "'");
+    }
+    // A dims filter entry that matches no DAG would silently drop out of
+    // every slice (and an all-unmatched filter would run zero jobs).
+    std::set<int> present;
+    for (const auto& suite : *suites) {
+      for (const auto& inst : suite.dags) {
+        present.insert(inst.params.matrix_dim);
+      }
+    }
+    for (const int d : spec.dims) {
+      if (present.contains(d)) continue;
+      std::string have;
+      for (const int p : present) {
+        have += (have.empty() ? "" : ", ") + std::to_string(p);
+      }
+      throw core::InvalidArgument("dims filter n = " + std::to_string(d) +
+                                  " matches no DAG; the suites contain n = " +
+                                  (have.empty() ? "(none)" : have));
     }
   }
 

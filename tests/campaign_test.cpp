@@ -1,15 +1,16 @@
 // Tests for the parallel campaign runner: determinism across thread
-// counts, memo-cache accounting, the JSON/CSV writers, and agreement with
-// the sequential exp::CaseStudy pipeline it generalizes.
+// counts, memo-cache accounting, the JSON/CSV writers, spec validation,
+// and agreement of the case-study pivot with sequential exp::Session runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "mtsched/core/error.hpp"
+#include "mtsched/dag/export.hpp"
 #include "mtsched/exp/campaign.hpp"
-#include "mtsched/exp/case_study.hpp"
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/exp/results.hpp"
+#include "mtsched/exp/session.hpp"
 #include "mtsched/stats/summary.hpp"
 
 namespace {
@@ -124,21 +125,28 @@ TEST(Campaign, PivotMatchesTheSequentialCaseStudy) {
   const auto result = exp::Campaign(lab().rig()).run(spec);
   const auto pivot = result.case_study("profile", "HCPA", "MCPA", 7, 42);
 
-  const exp::CaseStudy study(lab().profile(), lab().rig());
-  const auto direct = study.run_suite(spec.suites[0].dags, 42);
-
-  ASSERT_EQ(pivot.outcomes.size(), direct.outcomes.size());
-  for (std::size_t i = 0; i < pivot.outcomes.size(); ++i) {
-    const auto& a = pivot.outcomes[i];
-    const auto& b = direct.outcomes[i];
-    EXPECT_EQ(a.dag_name, b.dag_name);
-    EXPECT_DOUBLE_EQ(a.first.makespan_sim, b.first.makespan_sim);
-    EXPECT_DOUBLE_EQ(a.first.makespan_exp, b.first.makespan_exp);
-    EXPECT_DOUBLE_EQ(a.second.makespan_sim, b.second.makespan_sim);
-    EXPECT_DOUBLE_EQ(a.second.makespan_exp, b.second.makespan_exp);
-    EXPECT_EQ(a.first.allocation, b.first.allocation);
+  // The reference runs each (DAG, algorithm) cell on its own through the
+  // single-DAG pipeline, executing under the seed the campaign derived.
+  const exp::Session session(lab());
+  const auto& dags = spec.suites[0].dags;
+  ASSERT_EQ(pivot.outcomes.size(), dags.size());
+  for (std::size_t i = 0; i < dags.size(); ++i) {
+    const auto& o = pivot.outcomes[i];
+    EXPECT_EQ(o.dag_name, dags[i].name);
+    EXPECT_EQ(o.matrix_dim, dags[i].params.matrix_dim);
+    for (const exp::RunRecord* r : {&o.first, &o.second}) {
+      exp::ScheduleRequest req;
+      req.dag_text = dag::to_text(dags[i].graph);
+      req.algorithm = r->algorithm;
+      req.model = models::ModelSpec::parse("profile");
+      req.exp_seed = r->run_seed;
+      const auto resp = session.run(req);
+      ASSERT_TRUE(resp.ok()) << resp.message;
+      EXPECT_EQ(r->allocation, resp.allocation);
+      EXPECT_EQ(r->makespan_sim, resp.makespan_sim);
+      EXPECT_EQ(r->makespan_exp, resp.makespan_exp);
+    }
   }
-  EXPECT_EQ(pivot.num_flips(), direct.num_flips());
 }
 
 TEST(Campaign, CaseStudyThrowsOnMissingSlice) {
@@ -233,6 +241,32 @@ TEST(Campaign, ValidatesSpec) {
   dup.algorithms = {exp::AlgoSpec::allocator("HCPA"),
                     exp::AlgoSpec::allocator("HCPA")};
   EXPECT_THROW(exp::Campaign(lab().rig()).run(dup), core::InvalidArgument);
+
+  // A model calibrated for an 8-node platform cannot drive the 32-node rig.
+  machine::JavaClusterConfig small_cfg;
+  small_cfg.num_nodes = 8;
+  const machine::JavaClusterModel small(small_cfg);
+  const models::AnalyticalModel small_model(small.platform_spec());
+  auto mismatched = mini_spec();
+  mismatched.models = {exp::ModelRef{"analytical8", &small_model}};
+  EXPECT_THROW(exp::Campaign(lab().rig()).run(mismatched),
+               core::InvalidArgument);
+
+  // A dims filter naming a dimension no suite contains, alone or next to
+  // one that matches, is rejected before any job runs.
+  for (const std::vector<int>& dims : {std::vector<int>{4000},
+                                       std::vector<int>{2000, 4000}}) {
+    auto unmatched = mini_spec();
+    unmatched.dims = dims;
+    try {
+      (void)exp::Campaign(lab().rig()).run(unmatched);
+      ADD_FAILURE() << "dims filter without a matching DAG was accepted";
+    } catch (const core::InvalidArgument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("4000"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("2000, 3000"), std::string::npos) << msg;
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// Tests for the experiment pipeline (Lab, CaseStudy, reporting).
+// Tests for the experiment pipeline (Lab, the campaign's case-study pivot,
+// reporting).
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "mtsched/core/error.hpp"
-#include "mtsched/exp/case_study.hpp"
+#include "mtsched/exp/campaign.hpp"
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/exp/report.hpp"
 #include "mtsched/stats/summary.hpp"
@@ -33,6 +33,28 @@ std::vector<dag::GeneratedDag> mini_suite() {
   return suite;
 }
 
+/// HCPA vs MCPA on `dags` under one lab model, through one campaign and
+/// its case-study pivot.
+exp::CaseStudyResult run_pivot(models::CostModelKind kind,
+                               std::uint64_t exp_seed = 42,
+                               std::vector<dag::GeneratedDag> dags =
+                                   mini_suite()) {
+  exp::CampaignSpec spec;
+  spec.suites = {exp::SuiteSpec{1, std::move(dags)}};
+  spec.models = {exp::lab_model(lab(), kind)};
+  spec.exp_seeds = {exp_seed};
+  return exp::Campaign(lab().rig())
+      .run(spec)
+      .case_study(models::kind_name(kind), "HCPA", "MCPA", 1, exp_seed);
+}
+
+/// The pivot outcome of a single DAG.
+exp::DagOutcome evaluate(const dag::GeneratedDag& inst,
+                         std::uint64_t exp_seed) {
+  return run_pivot(models::CostModelKind::Profile, exp_seed, {inst})
+      .outcomes.at(0);
+}
+
 TEST(Lab, WiresAllThreeModels) {
   EXPECT_EQ(lab().analytical().kind(), models::CostModelKind::Analytical);
   EXPECT_EQ(lab().profile().kind(), models::CostModelKind::Profile);
@@ -59,11 +81,8 @@ TEST(Lab, EmpiricalBuildRecordsItsData) {
 }
 
 TEST(CaseStudy, OutcomeFieldsConsistent) {
-  const exp::CaseStudy study(lab().profile(), lab().rig());
-  const sched::HcpaAllocator hcpa;
-  const sched::McpaAllocator mcpa;
   const auto inst = mini_suite()[0];
-  const auto o = study.evaluate(inst, hcpa, mcpa, 42);
+  const auto o = evaluate(inst, 42);
   EXPECT_EQ(o.dag_name, inst.name);
   EXPECT_EQ(o.matrix_dim, 2000);
   EXPECT_EQ(o.first.algorithm, "HCPA");
@@ -79,22 +98,18 @@ TEST(CaseStudy, OutcomeFieldsConsistent) {
 }
 
 TEST(CaseStudy, DeterministicGivenSeed) {
-  const exp::CaseStudy study(lab().profile(), lab().rig());
-  const sched::HcpaAllocator hcpa;
-  const sched::McpaAllocator mcpa;
   const auto inst = mini_suite()[1];
-  const auto a = study.evaluate(inst, hcpa, mcpa, 7);
-  const auto b = study.evaluate(inst, hcpa, mcpa, 7);
+  const auto a = evaluate(inst, 7);
+  const auto b = evaluate(inst, 7);
   EXPECT_DOUBLE_EQ(a.first.makespan_exp, b.first.makespan_exp);
-  const auto c = study.evaluate(inst, hcpa, mcpa, 8);
+  const auto c = evaluate(inst, 8);
   EXPECT_NE(a.first.makespan_exp, c.first.makespan_exp);
   // Simulated makespans ignore the experiment seed entirely.
   EXPECT_DOUBLE_EQ(a.first.makespan_sim, c.first.makespan_sim);
 }
 
 TEST(CaseStudy, RunSuiteCoversAllDags) {
-  const exp::CaseStudy study(lab().profile(), lab().rig());
-  const auto res = study.run_suite(mini_suite(), 42);
+  const auto res = run_pivot(models::CostModelKind::Profile);
   EXPECT_EQ(res.outcomes.size(), 3u);
   EXPECT_EQ(res.model_name, "profile");
   EXPECT_EQ(res.errors_first().size(), 3u);
@@ -119,7 +134,7 @@ TEST(CaseStudy, VerdictFlipSemantics) {
 }
 
 TEST(CaseStudy, ErrorMetricIsRelativeToSimulation) {
-  exp::AlgoOutcome a;
+  exp::RunRecord a;
   a.makespan_sim = 10.0;
   a.makespan_exp = 40.0;
   EXPECT_DOUBLE_EQ(a.sim_error_percent(), 300.0);  // can exceed 100 %
@@ -127,18 +142,8 @@ TEST(CaseStudy, ErrorMetricIsRelativeToSimulation) {
   EXPECT_DOUBLE_EQ(a.sim_error_percent(), 50.0);
 }
 
-TEST(CaseStudy, MismatchedPlatformsRejected) {
-  machine::JavaClusterConfig cfg;
-  cfg.num_nodes = 8;
-  const machine::JavaClusterModel small(cfg);
-  const tgrid::TGridEmulator rig(small, small.platform_spec());
-  EXPECT_THROW(exp::CaseStudy(lab().analytical(), rig),
-               core::InvalidArgument);
-}
-
 TEST(Report, RelativeMakespanFigureSortedAndAnnotated) {
-  const exp::CaseStudy study(lab().analytical(), lab().rig());
-  const auto res = study.run_suite(mini_suite(), 42);
+  const auto res = run_pivot(models::CostModelKind::Analytical);
   std::vector<const exp::DagOutcome*> ptrs;
   for (const auto& o : res.outcomes) ptrs.push_back(&o);
   const auto fig = exp::render_relative_makespan_figure(ptrs, "Figure X");
@@ -150,8 +155,7 @@ TEST(Report, RelativeMakespanFigureSortedAndAnnotated) {
 }
 
 TEST(Report, CsvHasHeaderAndOneRowPerDag) {
-  const exp::CaseStudy study(lab().profile(), lab().rig());
-  const auto res = study.run_suite(mini_suite(), 42);
+  const auto res = run_pivot(models::CostModelKind::Profile);
   std::vector<const exp::DagOutcome*> ptrs;
   for (const auto& o : res.outcomes) ptrs.push_back(&o);
   const auto csv = exp::relative_makespan_csv(ptrs);
@@ -167,8 +171,7 @@ TEST(Report, ErrorBoxplotsMentionEveryModel) {
   std::vector<exp::CaseStudyResult> results;
   for (auto kind :
        {models::CostModelKind::Analytical, models::CostModelKind::Profile}) {
-    const exp::CaseStudy study(lab().model(kind), lab().rig());
-    results.push_back(study.run_suite(mini_suite(), 42));
+    results.push_back(run_pivot(kind));
   }
   const auto box = exp::render_error_boxplots(results);
   EXPECT_NE(box.find("analytical"), std::string::npos);
@@ -180,11 +183,8 @@ TEST(Report, ErrorBoxplotsMentionEveryModel) {
 TEST(PaperClaim, RefinedModelsBeatAnalyticalOnError) {
   // The paper's core finding, as a regression test: the profile-based
   // simulator's makespan error is far below the analytical simulator's.
-  const auto suite = mini_suite();
-  const exp::CaseStudy analytical(lab().analytical(), lab().rig());
-  const exp::CaseStudy profile(lab().profile(), lab().rig());
-  const auto res_a = analytical.run_suite(suite, 42);
-  const auto res_p = profile.run_suite(suite, 42);
+  const auto res_a = run_pivot(models::CostModelKind::Analytical);
+  const auto res_p = run_pivot(models::CostModelKind::Profile);
   const double err_a = stats::mean(res_a.errors_first());
   const double err_p = stats::mean(res_p.errors_first());
   EXPECT_GT(err_a, 5.0 * err_p);

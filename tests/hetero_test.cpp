@@ -69,7 +69,7 @@ TEST(HeteroSpec, GeneratorProducesSeededSpeeds) {
 
 TEST(HeteroSpec, ParserRoundTripsSpeeds) {
   const auto c = skewed4();
-  const auto parsed = parse_cluster(to_text(c));
+  const auto parsed = parse_platform(to_text(star_topology(c)));
   EXPECT_EQ(parsed.node_speeds, c.node_speeds);
 }
 

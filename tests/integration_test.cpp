@@ -5,10 +5,11 @@
 #include <cmath>
 
 #include "mtsched/dag/generator.hpp"
-#include "mtsched/exp/case_study.hpp"
+#include "mtsched/exp/campaign.hpp"
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/models/profile.hpp"
 #include "mtsched/profiling/profiler.hpp"
+#include "mtsched/sched/allocation.hpp"
 #include "mtsched/sched/mapping.hpp"
 #include "mtsched/sim/simulator.hpp"
 #include "mtsched/tgrid/emulator.hpp"
@@ -45,35 +46,44 @@ TEST(Integration, ProfileSimulatorTracksCleanEmulatorClosely) {
   pcfg.startup_trials = 1;
   pcfg.redist_trials = 1;
   const models::ProfileModel model(spec, profiler.brute_force(pcfg));
-  const sim::Simulator simulator(model);
-  const models::SchedCostAdapter cost(model);
-  const sched::HcpaAllocator hcpa;
-  const sched::TwoStepScheduler scheduler(hcpa, cost, spec.num_nodes);
 
+  exp::CampaignSpec cspec;
+  cspec.suites.emplace_back();
   for (std::uint64_t seed : {11, 22, 33, 44}) {
     dag::DagGenParams params;
     params.seed = seed;
     params.width = 4;
-    const auto inst = dag::generate_random_dag(params);
-    const auto schedule = scheduler.schedule(inst.graph);
-    const double sim_mk = simulator.makespan(inst.graph, schedule);
-    const double exp_mk = rig.makespan(inst.graph, schedule, /*seed=*/1);
-    EXPECT_NEAR(sim_mk, exp_mk, exp_mk * 0.08)
-        << "seed " << seed << ": sim " << sim_mk << " vs exp " << exp_mk;
+    cspec.suites[0].dags.push_back(dag::generate_random_dag(params));
+  }
+  auto hcpa = exp::AlgoSpec::allocator("HCPA");
+  hcpa.seed_slot = 0;  // every run executes under seed 1 unmixed
+  cspec.algorithms = {hcpa};
+  cspec.models = {exp::ModelRef{"profile", &model}};
+  cspec.exp_seeds = {1};
+  const auto result = exp::Campaign(rig).run(cspec);
+
+  ASSERT_EQ(result.records.size(), 4u);
+  for (const auto& r : result.records) {
+    EXPECT_NEAR(r.makespan_sim, r.makespan_exp, r.makespan_exp * 0.08)
+        << r.dag << ": sim " << r.makespan_sim << " vs exp "
+        << r.makespan_exp;
   }
 }
 
 TEST(Integration, EndToEndPipelineIsDeterministic) {
   auto run_once = [] {
     exp::Lab lab;
-    const exp::CaseStudy study(lab.empirical(), lab.rig());
     dag::DagGenParams params;
     params.seed = 5;
     params.matrix_dim = 3000;
-    const auto inst = dag::generate_random_dag(params);
-    const sched::HcpaAllocator hcpa;
-    const sched::McpaAllocator mcpa;
-    const auto o = study.evaluate(inst, hcpa, mcpa, 99);
+    exp::CampaignSpec spec;
+    spec.suites = {exp::SuiteSpec{5, {dag::generate_random_dag(params)}}};
+    spec.models = {exp::lab_model(lab, models::CostModelKind::Empirical)};
+    spec.exp_seeds = {99};
+    const auto o = exp::Campaign(lab.rig())
+                       .run(spec)
+                       .case_study("empirical", "HCPA", "MCPA", 5, 99)
+                       .outcomes.at(0);
     return std::make_tuple(o.first.makespan_sim, o.first.makespan_exp,
                            o.second.makespan_sim, o.second.makespan_exp);
   };
@@ -105,14 +115,18 @@ TEST(Integration, ExperimentSlowerThanAnalyticalPrediction) {
   // Analytical simulation systematically underestimates (it knows no
   // overheads and assumes peak kernels).
   exp::Lab lab;
-  const exp::CaseStudy study(lab.analytical(), lab.rig());
-  const sched::HcpaAllocator hcpa;
-  const sched::McpaAllocator mcpa;
+  exp::CampaignSpec spec;
+  spec.suites.emplace_back();
   for (std::uint64_t seed : {3, 4}) {
     dag::DagGenParams params;
     params.seed = seed;
-    const auto inst = dag::generate_random_dag(params);
-    const auto o = study.evaluate(inst, hcpa, mcpa, 42);
+    spec.suites[0].dags.push_back(dag::generate_random_dag(params));
+  }
+  spec.models = {exp::lab_model(lab, models::CostModelKind::Analytical)};
+  const auto pivot = exp::Campaign(lab.rig()).run(spec).case_study(
+      "analytical", "HCPA", "MCPA", spec.suites[0].seed, 42);
+  ASSERT_EQ(pivot.outcomes.size(), 2u);
+  for (const auto& o : pivot.outcomes) {
     EXPECT_GT(o.first.makespan_exp, o.first.makespan_sim);
     EXPECT_GT(o.second.makespan_exp, o.second.makespan_sim);
   }

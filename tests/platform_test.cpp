@@ -50,9 +50,14 @@ TEST(Validate, CatchesNonPhysicalValues) {
   EXPECT_THROW(c.validate(), InvalidArgument);
 }
 
+const std::string kHead = std::string(kPlatformSchema) + "\n";
+
 TEST(Parser, RoundTripsPresets) {
+  // A flat preset is the one-rack topology star_topology builds from it.
   for (const auto& spec : {bayreuth32(), cray_xt4()}) {
-    const auto parsed = parse_cluster(to_text(spec));
+    const auto parsed = parse_platform(to_text(star_topology(spec)));
+    ASSERT_NE(parsed.topology, nullptr);
+    EXPECT_FALSE(parsed.hierarchical());
     EXPECT_EQ(parsed.name, spec.name);
     EXPECT_EQ(parsed.num_nodes, spec.num_nodes);
     EXPECT_DOUBLE_EQ(parsed.node.flops, spec.node.flops);
@@ -65,10 +70,11 @@ TEST(Parser, RoundTripsPresets) {
 }
 
 TEST(Parser, AcceptsCommentsAndWhitespace) {
-  const auto c = parse_cluster(
-      "# my cluster\n"
+  const auto c = parse_platform(
+      "# my cluster\n" + kHead +
       "  name = test   # trailing comment\n"
-      "nodes = 8\n"
+      "[rack]\n"
+      "\tnodes = 8\n"
       "node_flops = 1e9\n");
   EXPECT_EQ(c.name, "test");
   EXPECT_EQ(c.num_nodes, 8);
@@ -76,30 +82,38 @@ TEST(Parser, AcceptsCommentsAndWhitespace) {
 }
 
 TEST(Parser, MissingKeysKeepDefaults) {
-  const auto c = parse_cluster("nodes = 4\n");
+  const auto c = parse_platform(kHead + "[rack]\nnodes = 4\n");
   EXPECT_EQ(c.num_nodes, 4);
-  EXPECT_DOUBLE_EQ(c.node.flops, ClusterSpec{}.node.flops);
+  EXPECT_DOUBLE_EQ(c.node.flops, RackSpec{}.node_flops);
 }
 
 TEST(Parser, RejectsUnknownKey) {
-  EXPECT_THROW(parse_cluster("cores = 4\n"), ParseError);
+  EXPECT_THROW(parse_platform(kHead + "[rack]\ncores = 4\n"), ParseError);
 }
 
 TEST(Parser, RejectsMalformedValue) {
-  EXPECT_THROW(parse_cluster("nodes = four\n"), ParseError);
-  EXPECT_THROW(parse_cluster("shared_backbone = maybe\n"), ParseError);
-  EXPECT_THROW(parse_cluster("just a line\n"), ParseError);
+  EXPECT_THROW(parse_platform(kHead + "[rack]\nnodes = four\n"), ParseError);
+  EXPECT_THROW(parse_platform(kHead + "[rack]\nshared_tor = maybe\n"),
+               ParseError);
+  EXPECT_THROW(parse_platform(kHead + "[rack]\njust a line\n"), ParseError);
 }
 
 TEST(Parser, BooleanForms) {
-  EXPECT_TRUE(parse_cluster("shared_backbone = true\n").net.shared_backbone);
-  EXPECT_TRUE(parse_cluster("shared_backbone = 1\n").net.shared_backbone);
-  EXPECT_FALSE(parse_cluster("shared_backbone = false\n").net.shared_backbone);
-  EXPECT_FALSE(parse_cluster("shared_backbone = 0\n").net.shared_backbone);
+  // A one-rack platform's shared ToR is the flat view's shared backbone.
+  const auto shared = [](const std::string& value) {
+    return parse_platform(kHead + "[rack]\nnodes = 2\nshared_tor = " + value +
+                          "\n")
+        .net.shared_backbone;
+  };
+  EXPECT_TRUE(shared("true"));
+  EXPECT_TRUE(shared("1"));
+  EXPECT_FALSE(shared("false"));
+  EXPECT_FALSE(shared("0"));
 }
 
 TEST(Parser, ValidatesResult) {
-  EXPECT_THROW(parse_cluster("nodes = 0\n"), InvalidArgument);
+  EXPECT_THROW(parse_platform(kHead + "[rack]\nnodes = 0\n"),
+               InvalidArgument);
 }
 
 }  // namespace

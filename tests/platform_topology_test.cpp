@@ -1,12 +1,14 @@
 // Tests for hierarchical network platforms: the Topology description and
 // its route/uplink arithmetic, the mtsched.platform.v1 text format
-// (round-trip property sweep, parse errors, legacy fallback), the named
-// platform registry, the one-rack-equals-star bit-identity bridge, and
-// the hierarchical cluster simulation wiring.
+// (round-trip property sweep, comments, boolean forms, parse errors, the
+// retired flat format), the named platform registry, the
+// one-rack-equals-star bit-identity bridge, and the hierarchical cluster
+// simulation wiring.
 #include "mtsched/platform/topology.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -131,7 +133,26 @@ TEST(TopologyFormat, RoundTripsPresets) {
         two_racks(4.0)}) {
     const auto text = to_text(topo);
     EXPECT_EQ(parse_topology(text), topo) << text;
+    // Comments, blank lines and surrounding whitespace are insignificant.
+    std::string annotated = "# generated\n\n";
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+      annotated += "  \t" + line + "   # note\n";
+    }
+    EXPECT_EQ(parse_topology(annotated), topo) << annotated;
   }
+}
+
+TEST(TopologyFormat, BooleanForms) {
+  const auto parse = [](const std::string& core, const std::string& rack) {
+    return parse_topology(std::string(kPlatformSchema) + "\n[core]\nshared = " +
+                          core + "\n[rack]\nnodes = 2\nshared_tor = " +
+                          rack + "\n");
+  };
+  EXPECT_TRUE(parse("true", "1").core.shared);
+  EXPECT_TRUE(parse("true", "1").racks[0].shared_tor);
+  EXPECT_FALSE(parse("false", "0").core.shared);
+  EXPECT_FALSE(parse("false", "0").racks[0].shared_tor);
 }
 
 TEST(TopologyFormat, RoundTripPropertySweep) {
@@ -186,6 +207,8 @@ TEST(TopologyFormat, ParseErrors) {
   EXPECT_THROW((void)parse_topology(head + "[flux]\n"), ParseError);
   EXPECT_THROW((void)parse_topology(head + "nodes = 2\n"), ParseError);
   EXPECT_THROW((void)parse_topology(head + "[rack]\nwarp = 9\n"), ParseError);
+  EXPECT_THROW((void)parse_topology(head + "[rack]\njust a line\n"),
+               ParseError);
   EXPECT_THROW((void)parse_topology(head + "[rack]\nnodes = huge\n"),
                ParseError);
   EXPECT_THROW((void)parse_topology(head + "[rack]\nnodes = 2.5\n"),
@@ -200,24 +223,19 @@ TEST(TopologyFormat, ParseErrors) {
   EXPECT_THROW((void)parse_topology(head + "name = empty\n"), InvalidArgument);
 }
 
-TEST(PlatformFormat, ParsesBothFormatsWithDeprecationNote) {
-  std::string note = "sentinel";
-  const auto v1 = parse_platform(to_text(hierarchical_topology(4, 8, 4.0)),
-                                 &note);
-  EXPECT_TRUE(note.empty());  // v1 input: no deprecation
+TEST(PlatformFormat, ParsesV1AndRejectsTheFlatFormat) {
+  const auto v1 = parse_platform(to_text(hierarchical_topology(4, 8, 4.0)));
   ASSERT_NE(v1.topology, nullptr);
   EXPECT_TRUE(v1.hierarchical());
   EXPECT_EQ(v1.num_nodes, 32);
 
-  const auto legacy = parse_platform("name = flatfile\nnodes = 8\n", &note);
-  EXPECT_FALSE(note.empty());
-  EXPECT_NE(note.find(kPlatformSchema), std::string::npos) << note;
-  EXPECT_EQ(legacy.name, "flatfile");
-  EXPECT_EQ(legacy.num_nodes, 8);
-  EXPECT_EQ(legacy.topology, nullptr);
-
-  // The note pointer is optional.
-  EXPECT_NO_THROW((void)parse_platform("nodes = 8\n"));
+  // The headerless flat key = value format is no longer read; a flat
+  // platform is written as its one-rack star topology instead.
+  EXPECT_THROW((void)parse_platform("name = flatfile\nnodes = 8\n"),
+               ParseError);
+  const auto star = parse_platform(to_text(star_topology(bayreuth32())));
+  EXPECT_FALSE(star.hierarchical());
+  EXPECT_EQ(star.num_nodes, 32);
 }
 
 TEST(PlatformNames, RegistryIsCompleteAndRejectsUnknown) {

@@ -18,9 +18,7 @@
 #include "mtsched/dag/export.hpp"
 #include "mtsched/dag/generator.hpp"
 #include "mtsched/exp/campaign.hpp"
-#include "mtsched/exp/case_study.hpp"
 #include "mtsched/exp/lab.hpp"
-#include "mtsched/exp/report.hpp"
 #include "mtsched/exp/results.hpp"
 #include "mtsched/exp/server.hpp"
 #include "mtsched/exp/service.hpp"
@@ -34,9 +32,7 @@
 #include "mtsched/obs/trace.hpp"
 #include "mtsched/platform/parser.hpp"
 #include "mtsched/platform/topology.hpp"
-#include "mtsched/sched/allocation.hpp"
 #include "mtsched/sched/mapping.hpp"
-#include "mtsched/sim/simulator.hpp"
 
 namespace {
 
@@ -73,8 +69,8 @@ void add_model_option(ArgParser& args) {
 void add_platform_option(ArgParser& args) {
   args.add_str("platform", "",
                "schedule on this platform: a built-in name (bayreuth32, "
-               "cray_xt4, hier1x32, hier2x16, hier4x8) or a platform file "
-               "(mtsched.platform.v1 or the legacy key = value format)",
+               "cray_xt4, hier1x32, hier2x16, hier4x8) or an "
+               "mtsched.platform.v1 file",
                "NAME|FILE");
 }
 
@@ -82,7 +78,6 @@ void add_mapping_options(ArgParser& args) {
   args.add_str("mapping", "earliest",
                "list-mapping strategy: earliest, redist_aware or rack_aware",
                "NAME");
-  args.add_flag("redist-aware", "deprecated alias for --mapping redist_aware");
 }
 
 sched::MappingStrategy mapping_from_args(const ArgParser& args) {
@@ -91,11 +86,6 @@ sched::MappingStrategy mapping_from_args(const ArgParser& args) {
   if (!strategy) {
     throw core::InvalidArgument("unknown --mapping '" + name +
                                 "' (earliest | redist_aware | rack_aware)");
-  }
-  // The deprecated flag only applies when --mapping was left at its
-  // default; an explicit --mapping always wins.
-  if (args.flag("redist-aware") && !args.given("mapping")) {
-    return sched::MappingStrategy::RedistributionAware;
   }
   return *strategy;
 }
@@ -117,12 +107,8 @@ std::string load_dag_text(const ArgParser& args) {
   return read_all(f);
 }
 
-dag::Dag load_dag(const ArgParser& args) {
-  return dag::from_text(load_dag_text(args));
-}
-
 /// Resolves one --platform value: a built-in name first, a platform file
-/// otherwise. Legacy-format files parse with a deprecation note on stderr.
+/// otherwise.
 platform::ClusterSpec resolve_platform(const std::string& value) {
   if (auto spec = platform::named_platform(value)) return *std::move(spec);
   std::ifstream f(value);
@@ -135,10 +121,7 @@ platform::ClusterSpec resolve_platform(const std::string& value) {
                                 "': not a built-in name (" + names +
                                 ") and not a readable file");
   }
-  std::string note;
-  auto spec = platform::parse_platform(read_all(f), &note);
-  if (!note.empty()) std::cerr << "note: " << value << ": " << note << '\n';
-  return spec;
+  return platform::parse_platform(read_all(f));
 }
 
 /// A lab on `spec`'s platform: the built-in cluster behaviour calibrated
@@ -362,15 +345,15 @@ class TraceStream {
 
 // --- schedule / run -----------------------------------------------------
 
-sched::Schedule compute_schedule(const dag::Dag& g, const exp::Lab& lab,
-                                 const ArgParser& args) {
-  const auto algo = sched::make_allocator(args.str("algo"));
-  const models::SchedCostAdapter cost(
-      lab.model(models::ModelSpec::parse(args.str("model"))));
-  const auto strategy = mapping_from_args(args);
-  const auto alloc = algo->allocate(g, cost, lab.spec().num_nodes);
-  return sched::ListMapper(strategy, lab.spec())
-      .map(g, alloc, cost, lab.spec().num_nodes);
+/// Builds the session-layer request from the shared schedule options
+/// (the experiment seed is left to the commands that execute).
+exp::ScheduleRequest request_from_args(const ArgParser& args) {
+  exp::ScheduleRequest req;
+  req.dag_text = load_dag_text(args);
+  req.algorithm = args.str("algo");
+  req.mapping = mapping_from_args(args);
+  req.model = models::ModelSpec::parse(args.str("model"));
+  return req;
 }
 
 void add_schedule_options(ArgParser& args) {
@@ -391,9 +374,14 @@ int cmd_schedule(int argc, char** argv) {
   add_schedule_options(args);
   if (!parse_or_help(args, argc, argv)) return 0;
 
-  const auto g = load_dag(args);
+  auto req = request_from_args(args);
+  req.execute = false;
+  const auto g = dag::from_text(req.dag_text);
   const auto lab = make_lab(args);
-  const auto s = compute_schedule(g, *lab, args);
+  exp::RunArtifacts artifacts;
+  const auto resp = exp::Session(*lab).run(req, &artifacts);
+  if (!resp.ok()) throw core::Error(resp.message);
+  const auto& s = artifacts.schedule;
   core::TextTable t;
   t.set_header({"task", "kernel", "procs", "est start", "est finish"});
   for (dag::TaskId id = 0; id < g.num_tasks(); ++id) {
@@ -409,17 +397,6 @@ int cmd_schedule(int argc, char** argv) {
   std::cout << "estimated makespan: " << core::fmt(s.est_makespan, 2)
             << " s\n";
   return 0;
-}
-
-/// Builds the session-layer request from the shared schedule options.
-exp::ScheduleRequest request_from_args(const ArgParser& args) {
-  exp::ScheduleRequest req;
-  req.dag_text = load_dag_text(args);
-  req.algorithm = args.str("algo");
-  req.mapping = mapping_from_args(args);
-  req.model = models::ModelSpec::parse(args.str("model"));
-  req.exp_seed = args.uint64("exp-seed");
-  return req;
 }
 
 /// The standard run report, printed identically by `run` (local session)
@@ -449,7 +426,8 @@ int cmd_run(int argc, char** argv) {
   add_obs_options(args);
   if (!parse_or_help(args, argc, argv)) return 0;
 
-  const auto req = request_from_args(args);
+  auto req = request_from_args(args);
+  req.exp_seed = args.uint64("exp-seed");
   const auto lab = make_lab(args);
   const exp::Session session(*lab);
 
@@ -625,7 +603,7 @@ int cmd_request(int argc, char** argv) {
       exp::RpcServerConfig{}.max_conn_inflight,
       static_cast<std::size_t>(
           std::max<std::int64_t>(1, args.integer("pipeline"))));
-  const std::uint64_t seed0 = req.exp_seed;
+  const std::uint64_t seed0 = args.uint64("exp-seed");
   // Sliding window of pipelined requests: keep up to `window` in flight,
   // print each response as it comes back (the server answers in request
   // order, so the reports line up with the seeds).
@@ -668,15 +646,17 @@ int cmd_case_study(int argc, char** argv) {
   if (!parse_or_help(args, argc, argv)) return 0;
 
   const auto lab = make_lab(args);
-  const auto suite = dag::generate_table1_suite();
-  const int dim = static_cast<int>(args.integer("dim"));
-  const auto exp_seed = args.uint64("exp-seed");
-  for (const auto kind : models::all_kinds()) {
-    const exp::CaseStudy study(lab->model(kind), lab->rig());
-    const auto result = study.run_suite(suite, exp_seed);
-    const auto subset = result.with_dim(dim);
-    std::cout << result.model_name << " model, n = " << dim << ": "
-              << exp::count_flips(subset) << "/" << subset.size()
+  exp::CampaignSpec spec;  // algorithms default to HCPA vs MCPA
+  spec.suites = {exp::SuiteSpec::table1()};
+  spec.models = exp::lab_models(*lab, models::all_kinds());
+  spec.dims = {static_cast<int>(args.integer("dim"))};
+  spec.exp_seeds = {args.uint64("exp-seed")};
+  const auto result = exp::Campaign(lab->rig()).run(spec);
+  for (const auto& model : spec.models) {
+    const auto cs = result.case_study(model.label, "HCPA", "MCPA",
+                                      spec.suites[0].seed, spec.exp_seeds[0]);
+    std::cout << model.label << " model, n = " << spec.dims[0] << ": "
+              << cs.num_flips() << "/" << cs.outcomes.size()
               << " verdict flips\n";
   }
   return 0;
