@@ -13,13 +13,11 @@
 //                       span emissions (the instrumented sched/simcore
 //                       layers emit through the ambient obs context)
 //   --trace-normalize   per-track ordinal timestamps (diffable traces)
-//   --trace-cap N       cap retained trace events (drops are counted)
 //   --metrics           print the metrics registry after the run
 #pragma once
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <vector>
@@ -66,7 +64,6 @@ inline int run_micro_suite(const std::string& name, int argc, char** argv) {
   std::string trace_path;
   bool normalize = false;
   bool metrics = false;
-  std::size_t trace_cap = 0;
   std::vector<char*> rest;
   rest.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
@@ -83,8 +80,6 @@ inline int run_micro_suite(const std::string& name, int argc, char** argv) {
       normalize = true;
     } else if (arg == "--metrics") {
       metrics = true;
-    } else if (const auto cap = value_of("--trace-cap")) {
-      trace_cap = static_cast<std::size_t>(std::atoll(cap->c_str()));
     } else {
       rest.push_back(argv[i]);
     }
@@ -99,9 +94,6 @@ inline int run_micro_suite(const std::string& name, int argc, char** argv) {
 
   mtsched::obs::Tracer tracer;
   mtsched::obs::MetricsRegistry registry;
-  if (trace_cap > 0) {
-    tracer.set_event_cap(trace_cap, metrics ? &registry : nullptr);
-  }
   const bool tracing = !trace_path.empty();
   std::optional<mtsched::obs::ScopedContext> obs_ctx;
   if (tracing || metrics) {
@@ -123,8 +115,6 @@ inline int run_micro_suite(const std::string& name, int argc, char** argv) {
     }
     f << mtsched::obs::to_chrome_json(tracer, opt);
     report.set("trace.events", static_cast<double>(tracer.num_events()));
-    report.set("trace.dropped_events",
-               static_cast<double>(tracer.dropped_events()));
   }
   if (metrics) {
     std::cout << registry.render();

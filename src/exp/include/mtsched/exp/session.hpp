@@ -13,7 +13,7 @@
 //   * exp::Campaign's memoized schedule stage sits on the same
 //     ScheduleCache machinery.
 //
-// The schedule-memo cache is sharded: requests hash to one of N shards,
+// The schedule-memo cache is sharded: requests hash to one of 16 shards,
 // each with its own lock, so concurrent requests for different DAGs do
 // not contend on a single cache mutex. Within a cell the first arrival
 // computes behind a shared_future and later arrivals (same DAG, model,
@@ -21,6 +21,7 @@
 // reuse it.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -106,10 +107,6 @@ struct ScheduleMemo {
 /// not retried (the same inputs would fail the same way).
 class ScheduleCache {
  public:
-  /// `num_shards` is clamped below by 1; 16 spreads lock contention
-  /// well past the pool sizes this repo runs (<= 64 workers).
-  explicit ScheduleCache(std::size_t num_shards = 16);
-
   using Compute = std::function<ScheduleMemo()>;
 
   /// The memo for `key`, computing it via `compute` exactly once per key
@@ -133,7 +130,9 @@ class ScheduleCache {
 
   Shard& shard_for(const std::string& key) const;
 
-  mutable std::vector<Shard> shards_;
+  /// 16 shards spread lock contention well past the pool sizes this repo
+  /// runs (<= 64 workers).
+  mutable std::array<Shard, 16> shards_;
 };
 
 /// Side products of one request beyond the response numbers, for front
@@ -143,10 +142,6 @@ struct RunArtifacts {
   sched::RunTrace exp_trace;  ///< filled only when the request executes
 };
 
-struct SessionOptions {
-  std::size_t cache_shards = 16;
-};
-
 /// One default lab, optional further platform labs, one schedule cache.
 /// Thread-safe: requests may be served concurrently from pool workers
 /// (exp::Service does exactly that). Register every platform before
@@ -154,7 +149,7 @@ struct SessionOptions {
 class Session {
  public:
   /// `lab` must outlive the session.
-  explicit Session(const Lab& lab, SessionOptions opt = {});
+  explicit Session(const Lab& lab) : lab_(lab) {}
 
   /// Registers an additional platform lab, addressable from requests by
   /// its spec name (req.platform). `lab` must outlive the session.
@@ -175,27 +170,19 @@ class Session {
   ScheduleResponse run(const ScheduleRequest& req,
                        RunArtifacts* artifacts = nullptr) const;
 
-  /// Serves a batch of requests sequentially on the calling thread.
-  /// Requests resolving to the same (platform, model) pair share one
-  /// sched::CostCurveTable, so the cost model resolves each distinct
+  /// Serves a batch of requests, one run() at a time on the calling
+  /// thread (the service's micro-batcher is the caller). Every run()
+  /// through one scope shares a sched::CostCurveTable per resolved
+  /// (platform, model) pair, so the cost model resolves each distinct
   /// (kernel, matrix_dim) curve once for the whole batch instead of once
   /// per DAG — the fast path for simulating many DAGs cut from the same
   /// few task shapes (Table-I-style suites, 100k-task sweeps). Responses
-  /// are bit-identical to serving each request through run(): the table
-  /// serves bit-identical values by the SchedCost purity contract, and
-  /// memo cells land in the same schedule cache under the same keys.
-  /// `artifacts`, when given, is resized to one entry per request.
-  std::vector<ScheduleResponse> run_batch(
-      const std::vector<ScheduleRequest>& reqs,
-      std::vector<RunArtifacts>* artifacts = nullptr) const;
-
-  /// The incremental face of run_batch, for callers whose batch arrives
-  /// one request at a time (the service's dynamic micro-batcher): every
-  /// run() through one scope shares the scope's per-(platform, model)
-  /// sched::CostCurveTables exactly like one run_batch call, with the
-  /// same bit-identity guarantee against Session::run. A scope belongs
-  /// to one thread; create one per batch and let it die with the batch
-  /// (tables reference the session's labs and models).
+  /// are bit-identical to serving each request through Session::run():
+  /// the table serves bit-identical values by the SchedCost purity
+  /// contract, and memo cells land in the same schedule cache under the
+  /// same keys. A scope belongs to one thread; create one per batch and
+  /// let it die with the batch (tables reference the session's labs and
+  /// models).
   class BatchScope {
    public:
     explicit BatchScope(const Session& session) : session_(session) {}
@@ -233,9 +220,9 @@ class Session {
   }
 
  private:
-  /// The pipeline behind run()/run_batch(). `shared_cost`, when non-null,
-  /// replaces the per-request cost adapter (run_batch passes the batch's
-  /// curve table; it must wrap the request's resolved model).
+  /// The pipeline behind run() and BatchScope::run(). `shared_cost`, when
+  /// non-null, replaces the per-request cost adapter (a BatchScope passes
+  /// the batch's curve table; it must wrap the request's resolved model).
   ScheduleResponse serve(const ScheduleRequest& req, RunArtifacts* artifacts,
                          const sched::SchedCost* shared_cost) const;
 

@@ -1,7 +1,5 @@
 #include "mtsched/exp/session.hpp"
 
-#include <algorithm>
-
 #include "mtsched/core/error.hpp"
 #include "mtsched/dag/export.hpp"
 #include "mtsched/sched/allocation.hpp"
@@ -47,9 +45,6 @@ const char* status_name(ServiceStatus s) {
   return "?";
 }
 
-ScheduleCache::ScheduleCache(std::size_t num_shards)
-    : shards_(std::max<std::size_t>(1, num_shards)) {}
-
 ScheduleCache::Shard& ScheduleCache::shard_for(const std::string& key) const {
   return shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
@@ -93,9 +88,6 @@ std::size_t ScheduleCache::size() const {
   return n;
 }
 
-Session::Session(const Lab& lab, SessionOptions opt)
-    : lab_(lab), cache_(opt.cache_shards) {}
-
 void Session::add_platform(const Lab& lab) {
   const std::string& name = lab.spec().name;
   MTSCHED_REQUIRE(!name.empty(), "platform lab needs a non-empty spec name");
@@ -120,20 +112,6 @@ const Lab& Session::resolve_lab(const std::string& platform) const {
 ScheduleResponse Session::run(const ScheduleRequest& req,
                               RunArtifacts* artifacts) const {
   return serve(req, artifacts, nullptr);
-}
-
-std::vector<ScheduleResponse> Session::run_batch(
-    const std::vector<ScheduleRequest>& reqs,
-    std::vector<RunArtifacts>* artifacts) const {
-  BatchScope scope(*this);
-  if (artifacts != nullptr) artifacts->assign(reqs.size(), {});
-  std::vector<ScheduleResponse> out;
-  out.reserve(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    out.push_back(
-        scope.run(reqs[i], artifacts != nullptr ? &(*artifacts)[i] : nullptr));
-  }
-  return out;
 }
 
 ScheduleResponse Session::BatchScope::run(const ScheduleRequest& req,

@@ -91,7 +91,6 @@ struct TraceProfile {
   std::size_t counter_events = 0;
   std::size_t instant_events = 0;
   std::size_t incomplete_spans = 0;  ///< auto-closed Begins, all tracks
-  std::size_t dropped_events = 0;    ///< events lost to the tracer's cap
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
@@ -99,24 +98,20 @@ struct TraceProfile {
   const SpanStats* find(const std::string& category,
                         const std::string& name) const;
 
-  /// Profiles a live tracer (dropped-event count taken from the tracer).
+  /// Profiles a live tracer.
   static TraceProfile from_tracer(const Tracer& tracer);
 
-  /// Profiles a snapshot. `dropped` is the tracer's cap-drop count when
-  /// known (snapshot() does not carry it).
+  /// Profiles a snapshot.
   static TraceProfile from_snapshot(
-      const std::vector<Tracer::TrackSnapshot>& tracks,
-      std::size_t dropped = 0);
+      const std::vector<Tracer::TrackSnapshot>& tracks);
 
-  /// Profiles a parsed Chrome trace (timestamps in microseconds; the
-  /// "trace.dropped_events" counter event, when present, fills
-  /// `dropped_events`).
+  /// Profiles a parsed Chrome trace (timestamps in microseconds).
   static TraceProfile from_chrome(const ChromeTrace& trace);
 };
 
 /// Aligned ASCII report: per-category attribution, the top spans by self
 /// time (all of them when `max_spans` is 0), the critical path, and a
-/// data-loss warning when spans were auto-closed or events dropped.
+/// warning when spans were auto-closed.
 std::string render_profile(const TraceProfile& profile,
                            std::size_t max_spans = 0);
 

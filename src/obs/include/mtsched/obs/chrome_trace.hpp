@@ -8,11 +8,12 @@
 // event's ts is replaced by its ordinal within its track — two runs of a
 // deterministic workload then serialize byte-identically.
 //
-// The exporter always emits a *well-formed* trace: spans still open at
-// snapshot time are auto-closed at their track's last timestamp with an
-// "incomplete": true arg, and when the tracer's event cap dropped
-// events, a "trace.dropped_events" counter event records how many are
-// missing (see obs::TraceProfile, which surfaces both).
+// ChromeStreamWriter is the one serializer: to_chrome_json feeds it a
+// tracer snapshot over a string buffer, Tracer::set_stream feeds it ring
+// flushes over a file. Either way the document is *well-formed*: spans
+// still open when the writer finishes are auto-closed at their track's
+// last timestamp with an "incomplete": true arg (see obs::TraceProfile,
+// which surfaces them).
 #pragma once
 
 #include <cstddef>
@@ -32,38 +33,42 @@ struct ChromeTraceOptions {
   std::string process_name = "mtsched";
 };
 
-/// Serializes a snapshot of `tracer` as {"traceEvents": [...]}.
+/// Serializes a snapshot of `tracer` as {"traceEvents": [...]} through a
+/// ChromeStreamWriter: every track's thread_name record first, then per
+/// track its events in emission order followed by its auto-closed spans.
 std::string to_chrome_json(const Tracer& tracer,
                            const ChromeTraceOptions& options = {});
 
 /// Incremental Chrome trace_event writer: the EventStream sink for
 /// Tracer::set_stream. Events are serialized straight to `os` as the
 /// tracer flushes them, so a trace of any length occupies only the ring
-/// buffer in memory. The document layout matches to_chrome_json — same
-/// header, same per-event encoding, same per-track ordinal
-/// normalization, same auto-close of still-open spans at finish() — so
-/// for a single-track tracer the streamed document is byte-identical to
-/// the batch export. (With several tracks, batches interleave in flush
-/// order rather than being grouped per track, and each track's
-/// thread_name metadata precedes its first event instead of the whole
-/// preamble; viewers accept both.)
+/// buffer in memory. Per track the encoding matches to_chrome_json —
+/// same per-event encoding, same per-track ordinal normalization, same
+/// auto-close of still-open spans at finish() — so for a single-track
+/// tracer the streamed document is byte-identical to the snapshot
+/// export. (With several tracks, batches interleave in flush order and
+/// each track's thread_name metadata precedes its first event instead of
+/// all of them coming first; viewers accept both.)
 class ChromeStreamWriter : public EventStream {
  public:
   /// Writes the document header. `os` must outlive the writer.
   explicit ChromeStreamWriter(std::ostream& os,
                               ChromeTraceOptions options = {});
-  /// finish()es with no dropped-event count if not already finished.
+  /// finish()es if not already finished.
   ~ChromeStreamWriter() override;
 
+  /// Writes track `tid`'s thread_name record on its first batch (an
+  /// empty batch writes only that), then the batch's events.
   void on_events(std::size_t tid, const std::string& track_name,
                  std::span<const Event> events) override;
 
-  /// Auto-closes open spans, records `dropped_events` when non-zero
-  /// (mirroring the batch exporter) and terminates the document. Flush
-  /// the tracer first; later on_events batches are discarded.
-  void finish(std::size_t dropped_events = 0);
+  /// Auto-closes open spans and terminates the document. Flush the
+  /// tracer first; later on_events batches are discarded.
+  void finish();
 
  private:
+  friend std::string to_chrome_json(const Tracer&, const ChromeTraceOptions&);
+
   struct OpenSpan {
     const char* category;
     std::string name;
@@ -74,6 +79,10 @@ class ChromeStreamWriter : public EventStream {
     double last_ts_us = 0.0;   ///< wall-clock close time for open spans
     std::vector<OpenSpan> open;
   };
+
+  /// Writes an "incomplete" End for each span still open on track `tid`,
+  /// innermost first. Caller holds mutex_.
+  void close_open_spans(std::size_t tid);
 
   std::ostream& os_;
   ChromeTraceOptions options_;

@@ -35,7 +35,8 @@ struct Value {
 
 /// Parses one JSON document. `what` names the document kind in error
 /// messages ("chrome trace JSON", "bench report JSON"). Throws
-/// core::ParseError on malformed input or trailing characters.
+/// core::ParseError on malformed input, trailing characters or nesting
+/// deeper than 64 levels.
 Value parse(const std::string& text, const std::string& what);
 
 /// `member(obj, key)` like find(), but throws core::ParseError when the

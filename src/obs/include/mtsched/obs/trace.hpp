@@ -34,7 +34,6 @@
 
 namespace mtsched::obs {
 
-class Counter;
 class MetricsRegistry;
 class Tracer;
 
@@ -152,29 +151,14 @@ class Tracer {
   /// diffable traces matter.
   Track track(std::string name);
 
-  /// Caps the total number of events this tracer retains so unattended
-  /// week-long campaigns cannot grow without bound; emissions beyond the
-  /// cap are dropped (silently for the emitter) and counted. 0 (the
-  /// default) means unlimited. When `metrics` is non-null every drop
-  /// also increments its "trace.dropped_events" counter. Set the cap
-  /// before emission starts; it is not meant to be flipped mid-run.
-  void set_event_cap(std::size_t max_events,
-                     MetricsRegistry* metrics = nullptr);
-
-  /// Events dropped by the cap so far (0 without a cap).
-  std::size_t dropped_events() const {
-    return dropped_events_.load(std::memory_order_relaxed);
-  }
-
   /// Switches the tracer from capture to streaming: each track buffers at
   /// most `ring_capacity` events and hands the full buffer to `stream`
   /// before admitting more, so memory stays bounded at
-  /// tracks * ring_capacity no matter how long the run is. Flushed events
-  /// no longer count against the event cap — a capped tracer that
-  /// streams effectively never truncates. Attach before emission starts
-  /// and keep `stream` alive for the tracer's lifetime; pass nullptr to
-  /// detach. Call flush_stream() (or destroy the tracer) before
-  /// finalizing the sink so the tail of each buffer is delivered.
+  /// tracks * ring_capacity no matter how long the run is, and no event
+  /// is lost. Attach before emission starts and keep `stream` alive for
+  /// the tracer's lifetime; pass nullptr to detach. Call flush_stream()
+  /// (or destroy the tracer) before finalizing the sink so the tail of
+  /// each buffer is delivered.
   void set_stream(EventStream* stream, std::size_t ring_capacity = 4096);
 
   /// Delivers every track's buffered tail to the attached stream.
@@ -198,10 +182,6 @@ class Tracer {
     return std::chrono::duration<double>(Clock::now() - epoch_).count();
   }
 
-  /// Reserves storage for one event; false (and a drop count) when the
-  /// cap is reached. Lock-free.
-  bool admit();
-
   /// Hands the lane's buffered events to the stream and clears the
   /// buffer. Caller holds the lane mutex.
   void flush_lane(detail::Lane& lane);
@@ -210,10 +190,6 @@ class Tracer {
   Clock::time_point epoch_;
   mutable std::mutex registry_mutex_;
   std::deque<detail::Lane> lanes_;  // deque: stable addresses for handles
-  std::atomic<std::size_t> event_cap_{0};  // 0 = unlimited
-  std::atomic<std::size_t> stored_events_{0};
-  std::atomic<std::size_t> dropped_events_{0};
-  std::atomic<Counter*> dropped_counter_{nullptr};
   std::atomic<EventStream*> stream_{nullptr};
   std::atomic<std::size_t> ring_capacity_{0};
 };

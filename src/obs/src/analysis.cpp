@@ -106,9 +106,8 @@ struct Builder {
           break;
         case 'E': {
           // An End closes the innermost open span of the same (category,
-          // name). One with no such span (its Begin was dropped by the
-          // cap, or the trace was truncated) has nothing to close; skip
-          // it. Opens above the match lost their Ends — close them here,
+          // name). One with no such span (a hand-written or cut trace)
+          // has nothing to close; skip it. Opens above the match lost their Ends — close them here,
           // marked incomplete, to keep the nesting consistent.
           std::size_t match = stack.size();
           while (match > 0 && (stack[match - 1].category != e.category ||
@@ -164,9 +163,7 @@ struct Builder {
     profile.tracks.push_back(std::move(track));
   }
 
-  TraceProfile finish(std::size_t dropped) {
-    profile.dropped_events = dropped;
-
+  TraceProfile finish() {
     std::map<std::string, CategoryStats> categories;
     for (auto& [key, acc] : accums) {
       SpanStats s;
@@ -236,11 +233,11 @@ const SpanStats* TraceProfile::find(const std::string& category,
 }
 
 TraceProfile TraceProfile::from_tracer(const Tracer& tracer) {
-  return from_snapshot(tracer.snapshot(), tracer.dropped_events());
+  return from_snapshot(tracer.snapshot());
 }
 
 TraceProfile TraceProfile::from_snapshot(
-    const std::vector<Tracer::TrackSnapshot>& tracks, std::size_t dropped) {
+    const std::vector<Tracer::TrackSnapshot>& tracks) {
   Builder b;
   std::vector<FlatEvent> flat;
   for (const auto& track : tracks) {
@@ -252,7 +249,7 @@ TraceProfile TraceProfile::from_snapshot(
     }
     b.add_track(track.name, flat);
   }
-  return b.finish(dropped);
+  return b.finish();
 }
 
 TraceProfile TraceProfile::from_chrome(const ChromeTrace& trace) {
@@ -263,12 +260,7 @@ TraceProfile TraceProfile::from_chrome(const ChromeTrace& trace) {
     max_tid = std::max(max_tid, static_cast<std::size_t>(e.tid) + 1);
   }
   std::vector<std::vector<FlatEvent>> per_track(max_tid);
-  std::size_t dropped = 0;
   for (const ChromeEvent& e : trace.events) {
-    if (e.phase == 'C' && e.name == "trace.dropped_events") {
-      dropped = static_cast<std::size_t>(e.value);
-      continue;
-    }
     per_track[static_cast<std::size_t>(e.tid)].push_back(
         FlatEvent{e.phase, e.category, e.name, e.ts_us / 1e6});
   }
@@ -279,23 +271,12 @@ TraceProfile TraceProfile::from_chrome(const ChromeTrace& trace) {
                            : "track " + std::to_string(tid);
     b.add_track(name, per_track[tid]);
   }
-  return b.finish(dropped);
+  return b.finish();
 }
 
 std::string render_profile(const TraceProfile& profile,
                            std::size_t max_spans) {
   std::ostringstream os;
-  // Data loss headlines the report: a truncated trace silently skews
-  // every total below, so the reader must see it before any number.
-  if (profile.dropped_events > 0) {
-    const std::size_t emitted = profile.total_events + profile.dropped_events;
-    os << "*** TRUNCATED TRACE: " << profile.dropped_events << " of "
-       << emitted
-       << " events were dropped by the tracer's event cap ***\n"
-       << "*** every count and duration below is a lower bound ***\n"
-       << "*** raise --trace-cap, or use --trace-stream to capture "
-          "unbounded runs in bounded memory ***\n\n";
-  }
   os << "trace: " << profile.total_events << " events on "
      << profile.tracks.size() << " tracks ("
      << profile.counter_events << " counters, " << profile.instant_events

@@ -1,7 +1,7 @@
 #include "mtsched/obs/chrome_trace.hpp"
 
+#include <cmath>
 #include <sstream>
-#include <vector>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/table.hpp"
@@ -67,8 +67,8 @@ void ChromeStreamWriter::on_events(std::size_t tid,
     t.meta_written = true;
   }
   for (const Event& e : events) {
-    // Mirror the batch exporter's open-span bookkeeping so finish() can
-    // close what the run left open.
+    // Track open spans so close_open_spans() can close what the run
+    // left open.
     if (e.phase == Event::Phase::Begin) {
       t.open.push_back(OpenSpan{e.category, e.name});
     } else if (e.phase == Event::Phase::End && !t.open.empty()) {
@@ -84,97 +84,52 @@ void ChromeStreamWriter::on_events(std::size_t tid,
   }
 }
 
-void ChromeStreamWriter::finish(std::size_t dropped_events) {
+void ChromeStreamWriter::finish() {
   std::lock_guard lock(mutex_);
   if (finished_) return;
   for (std::size_t tid = 0; tid < tracks_.size(); ++tid) {
-    TrackState& t = tracks_[tid];
-    while (!t.open.empty()) {
-      Event close;
-      close.phase = Event::Phase::End;
-      close.category = t.open.back().category;
-      close.name = t.open.back().name;
-      t.open.pop_back();
-      const double close_ts = options_.normalize_timestamps
-                                  ? static_cast<double>(t.ordinal++)
-                                  : t.last_ts_us;
-      os_ << ",\n";
-      write_event(os_, close, tid, close_ts, /*incomplete=*/true);
-    }
-  }
-  if (dropped_events > 0) {
-    Event dropped;
-    dropped.phase = Event::Phase::Counter;
-    dropped.category = "trace";
-    dropped.name = "trace.dropped_events";
-    dropped.value = static_cast<double>(dropped_events);
-    os_ << ",\n";
-    write_event(os_, dropped, 0, 0.0);
+    close_open_spans(tid);
   }
   os_ << "\n]}\n";
   finished_ = true;
+}
+
+void ChromeStreamWriter::close_open_spans(std::size_t tid) {
+  // A Begin with no matching End (the tracer was exported mid-span or
+  // the emitter crashed) would leave the trace malformed; close it at
+  // the track's last timestamp, flagged with "incomplete": true.
+  TrackState& t = tracks_[tid];
+  while (!t.open.empty()) {
+    Event close;
+    close.phase = Event::Phase::End;
+    close.category = t.open.back().category;
+    close.name = std::move(t.open.back().name);
+    t.open.pop_back();
+    const double close_ts = options_.normalize_timestamps
+                                ? static_cast<double>(t.ordinal++)
+                                : t.last_ts_us;
+    os_ << ",\n";
+    write_event(os_, close, tid, close_ts, /*incomplete=*/true);
+  }
 }
 
 std::string to_chrome_json(const Tracer& tracer,
                            const ChromeTraceOptions& options) {
   const auto tracks = tracer.snapshot();
   std::ostringstream os;
-  os << "{\"traceEvents\":[\n";
-  os << "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\","
-        "\"args\":{\"name\":\""
-     << json::escape(options.process_name) << "\"}}";
+  ChromeStreamWriter writer(os, options);
+  // Every thread_name record first, then events grouped per track in
+  // creation order (viewers sort by ts); with normalized timestamps this
+  // grouping is what makes the document stable.
   for (std::size_t tid = 0; tid < tracks.size(); ++tid) {
-    write_thread_name_meta(os, tid, tracks[tid].name);
+    writer.on_events(tid, tracks[tid].name, {});
   }
-  // Events grouped per track in creation order (viewers sort by ts); with
-  // normalized timestamps this grouping is what makes the document stable.
   for (std::size_t tid = 0; tid < tracks.size(); ++tid) {
-    const auto& events = tracks[tid].events;
-    // Spans still open at snapshot time (a Begin with no matching End —
-    // the tracer was exported mid-span or the emitter crashed) would
-    // leave the trace malformed; auto-close them at the track's last
-    // timestamp, flagged with "incomplete": true.
-    std::vector<const Event*> open;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const Event& e = events[i];
-      if (e.phase == Event::Phase::Begin) {
-        open.push_back(&e);
-      } else if (e.phase == Event::Phase::End && !open.empty()) {
-        open.pop_back();
-      }
-      const double ts_us = options.normalize_timestamps
-                               ? static_cast<double>(i)
-                               : e.ts * 1e6;
-      os << ",\n";
-      write_event(os, e, tid, ts_us);
-    }
-    std::size_t close_ordinal = events.size();
-    while (!open.empty()) {
-      Event close;
-      close.phase = Event::Phase::End;
-      close.category = open.back()->category;
-      close.name = open.back()->name;
-      open.pop_back();
-      const double close_ts =
-          options.normalize_timestamps
-              ? static_cast<double>(close_ordinal++)
-              : (events.empty() ? 0.0 : events.back().ts * 1e6);
-      os << ",\n";
-      write_event(os, close, tid, close_ts, /*incomplete=*/true);
-    }
+    writer.on_events(tid, tracks[tid].name, tracks[tid].events);
+    std::lock_guard lock(writer.mutex_);
+    writer.close_open_spans(tid);
   }
-  // Cap-dropped events are invisible by definition; record how many are
-  // missing so readers (trace-report) can qualify the numbers.
-  if (tracer.dropped_events() > 0) {
-    Event dropped;
-    dropped.phase = Event::Phase::Counter;
-    dropped.category = "trace";
-    dropped.name = "trace.dropped_events";
-    dropped.value = static_cast<double>(tracer.dropped_events());
-    os << ",\n";
-    write_event(os, dropped, 0, 0.0);
-  }
-  os << "\n]}\n";
+  writer.finish();
   return os.str();
 }
 
@@ -195,7 +150,18 @@ ChromeTrace parse_chrome_json(const std::string& text) {
     if (ph.size() != 1) {
       throw core::ParseError(std::string(kWhat) + ": bad ph '" + ph + "'");
     }
-    const int tid = static_cast<int>(json::member(ev, "tid", kWhat).num);
+    // Every track the exporter writes has its own metadata record, so a
+    // valid tid is always below the number of records.
+    const json::Value& tid_v = json::member(ev, "tid", kWhat);
+    if (tid_v.type != json::Value::Type::Number || !(tid_v.num >= 0.0) ||
+        tid_v.num >= static_cast<double>(events.items.size()) ||
+        tid_v.num != std::floor(tid_v.num)) {
+      throw core::ParseError(std::string(kWhat) + ": bad tid " +
+                             (tid_v.type == json::Value::Type::Number
+                                  ? core::fmt_roundtrip(tid_v.num)
+                                  : "'" + tid_v.str + "'"));
+    }
+    const int tid = static_cast<int>(tid_v.num);
     if (ph == "M") {
       const std::string what = json::member(ev, "name", kWhat).str;
       const std::string value =

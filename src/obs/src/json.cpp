@@ -8,6 +8,11 @@ namespace mtsched::obs::json {
 
 namespace {
 
+/// Deepest array/object nesting accepted. The parser recurses once per
+/// level, so the bound keeps hostile input from exhausting the stack;
+/// nothing this repo writes nests more than 4 deep.
+constexpr int kMaxDepth = 64;
+
 class Cursor {
  public:
   Cursor(const std::string& text, const std::string& what)
@@ -77,10 +82,15 @@ class Cursor {
     return out;
   }
 
-  Value parse_value() {
+  /// `depth` counts the objects and arrays enclosing the value.
+  Value parse_value(int depth = 0) {
     skip_ws();
     Value v;
     const char c = peek();
+    if (c == '{' || c == '[') {
+      require(depth < kMaxDepth, "nesting deeper than " +
+                                     std::to_string(kMaxDepth) + " levels");
+    }
     if (c == '"') {
       v.type = Value::Type::String;
       v.str = parse_string();
@@ -101,7 +111,7 @@ class Cursor {
         std::string key = parse_string();
         skip_ws();
         expect(':');
-        v.members.emplace_back(std::move(key), parse_value());
+        v.members.emplace_back(std::move(key), parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos_;
@@ -119,7 +129,7 @@ class Cursor {
         return v;
       }
       while (true) {
-        v.items.push_back(parse_value());
+        v.items.push_back(parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos_;

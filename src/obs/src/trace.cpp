@@ -1,11 +1,8 @@
 #include "mtsched/obs/trace.hpp"
 
-#include "mtsched/obs/metrics.hpp"
-
 namespace mtsched::obs {
 
 void Track::emit(Event e) const {
-  if (!tracer_->admit()) return;
   e.ts = tracer_->now();
   std::lock_guard lock(lane_->mutex);
   lane_->events.push_back(std::move(e));
@@ -72,11 +69,6 @@ void Tracer::flush_lane(detail::Lane& lane) {
   EventStream* stream = stream_.load(std::memory_order_acquire);
   if (stream == nullptr || lane.events.empty()) return;
   stream->on_events(lane.tid, lane.name, lane.events);
-  // Streamed events leave the tracer, so they stop counting against the
-  // event cap (admit() only counts while a cap is set).
-  if (event_cap_.load(std::memory_order_relaxed) != 0) {
-    stored_events_.fetch_sub(lane.events.size(), std::memory_order_relaxed);
-  }
   lane.events.clear();
 }
 
@@ -86,27 +78,6 @@ void Tracer::flush_stream() {
     std::lock_guard lane_lock(lane.mutex);
     flush_lane(lane);
   }
-}
-
-void Tracer::set_event_cap(std::size_t max_events, MetricsRegistry* metrics) {
-  event_cap_.store(max_events, std::memory_order_relaxed);
-  dropped_counter_.store(
-      metrics != nullptr ? &metrics->counter("trace.dropped_events") : nullptr,
-      std::memory_order_release);
-}
-
-bool Tracer::admit() {
-  const std::size_t cap = event_cap_.load(std::memory_order_relaxed);
-  if (cap == 0) return true;
-  // Reserve a slot optimistically; back the reservation out on overflow
-  // so concurrent emitters never overshoot by more than their own event.
-  if (stored_events_.fetch_add(1, std::memory_order_relaxed) < cap) {
-    return true;
-  }
-  stored_events_.fetch_sub(1, std::memory_order_relaxed);
-  dropped_events_.fetch_add(1, std::memory_order_relaxed);
-  if (Counter* c = dropped_counter_.load(std::memory_order_acquire)) c->add();
-  return false;
 }
 
 Track Tracer::root() { return Track(this, &lanes_.front()); }

@@ -78,7 +78,7 @@ class SchedCost {
 /// redistribution curve and startup/overhead point is resolved against
 /// the base model once and then served from the table, no matter how many
 /// tasks — across how many DAGs — share the shape. This is what makes
-/// batch scheduling (exp::Session::run_batch) cheap: a Table-I-style
+/// batch scheduling (exp::Session::BatchScope) cheap: a Table-I-style
 /// suite has thousands of tasks but only a handful of shapes, so the
 /// second and later DAGs never touch the underlying model.
 ///

@@ -1,5 +1,5 @@
 // Batch-simulation tests: sched::CostCurveTable (the shared cost-curve
-// cache behind Session::run_batch) and the run_batch pipeline itself —
+// cache behind Session::BatchScope) and the batch pipeline itself —
 // responses must be bit-identical to serving each request through run().
 #include <gtest/gtest.h>
 
@@ -118,7 +118,7 @@ TEST_F(CostCurveTableTest, RejectsOversizedQueries) {
                core::InvalidArgument);
 }
 
-// --- Session::run_batch --------------------------------------------------
+// --- Session::BatchScope ------------------------------------------------
 
 std::vector<exp::ScheduleRequest> sample_batch() {
   std::vector<exp::ScheduleRequest> reqs;
@@ -134,11 +134,26 @@ std::vector<exp::ScheduleRequest> sample_batch() {
   return reqs;
 }
 
-TEST(RunBatch, BitIdenticalToSequentialRuns) {
+/// Serves `reqs` through one BatchScope, as the service's micro-batcher
+/// does; `artifacts`, when given, receives one entry per request.
+std::vector<exp::ScheduleResponse> run_in_one_scope(
+    const exp::Session& session, const std::vector<exp::ScheduleRequest>& reqs,
+    std::vector<exp::RunArtifacts>* artifacts = nullptr) {
+  exp::Session::BatchScope scope(session);
+  if (artifacts != nullptr) artifacts->assign(reqs.size(), {});
+  std::vector<exp::ScheduleResponse> out;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    out.push_back(
+        scope.run(reqs[i], artifacts != nullptr ? &(*artifacts)[i] : nullptr));
+  }
+  return out;
+}
+
+TEST(BatchScope, BitIdenticalToSequentialRuns) {
   const auto reqs = sample_batch();
   const exp::Session sequential(lab());
   const exp::Session batched(lab());
-  const auto batch = batched.run_batch(reqs);
+  const auto batch = run_in_one_scope(batched, reqs);
   ASSERT_EQ(batch.size(), reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     // Compare through the wire codec: equal encodings = equal bytes in
@@ -149,25 +164,25 @@ TEST(RunBatch, BitIdenticalToSequentialRuns) {
   }
 }
 
-TEST(RunBatch, SharesScheduleCacheWithRun) {
+TEST(BatchScope, SharesScheduleCacheWithRun) {
   const exp::Session session(lab());
   const auto reqs = sample_batch();
-  (void)session.run_batch(reqs);
+  (void)run_in_one_scope(session, reqs);
   const auto misses = session.cache_misses();
   EXPECT_EQ(misses, reqs.size());
-  // The same requests through run() hit the cells run_batch filled.
+  // The same requests through run() hit the cells the scope filled.
   for (const auto& req : reqs) (void)session.run(req);
   EXPECT_EQ(session.cache_misses(), misses);
   EXPECT_EQ(session.cache_hits(), reqs.size());
 }
 
-TEST(RunBatch, BadRequestDoesNotPoisonTheBatch) {
+TEST(BatchScope, BadRequestDoesNotPoisonTheBatch) {
   auto reqs = sample_batch();
   reqs[1].model = models::ModelSpec::parse("analytical");
   reqs[1].platform = "no-such-platform";
   reqs[2].dag_text = "not a dag";
   const exp::Session session(lab());
-  const auto out = session.run_batch(reqs);
+  const auto out = run_in_one_scope(session, reqs);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_TRUE(out[0].ok());
   EXPECT_EQ(out[1].status, exp::ServiceStatus::BadRequest);
@@ -175,23 +190,16 @@ TEST(RunBatch, BadRequestDoesNotPoisonTheBatch) {
   EXPECT_TRUE(out[3].ok());
 }
 
-TEST(RunBatch, FillsOneArtifactPerRequest) {
+TEST(BatchScope, FillsOneArtifactPerRequest) {
   const auto reqs = sample_batch();
   const exp::Session session(lab());
   std::vector<exp::RunArtifacts> artifacts;
-  const auto out = session.run_batch(reqs, &artifacts);
+  const auto out = run_in_one_scope(session, reqs, &artifacts);
   ASSERT_EQ(artifacts.size(), reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(artifacts[i].schedule.allocation(), out[i].allocation);
     EXPECT_GT(artifacts[i].exp_trace.makespan, 0.0);
   }
-}
-
-TEST(RunBatch, EmptyBatchIsANoOp) {
-  const exp::Session session(lab());
-  std::vector<exp::RunArtifacts> artifacts;
-  EXPECT_TRUE(session.run_batch({}, &artifacts).empty());
-  EXPECT_TRUE(artifacts.empty());
 }
 
 }  // namespace

@@ -165,6 +165,12 @@ TEST(RpcCodec, MalformedPayloadsAreRejected) {
   EXPECT_THROW((void)exp::parse_request(
                    "{\"schema\":\"mtsched.rpc.v1\",\"type\":\"dance\"}"),
                core::ParseError);
+  // Nested a million levels deep (2 MB, well under the frame limit): a
+  // typed error, not a stack overflow.
+  const std::size_t depth = 1000000;
+  EXPECT_THROW((void)exp::parse_request(std::string(depth, '[') +
+                                        std::string(depth, ']')),
+               core::ParseError);
 }
 
 TEST(RpcCodec, BadScheduleFieldsAreRejected) {

@@ -136,7 +136,7 @@ TEST(Session, BadRequestsComeBackInBand) {
 }
 
 TEST(ScheduleCache, ComputesOncePerKeyUnderContention) {
-  exp::ScheduleCache cache(4);
+  exp::ScheduleCache cache;
   std::atomic<int> computes{0};
   std::vector<std::thread> threads;
   threads.reserve(8);
@@ -421,6 +421,21 @@ TEST(RpcServer, UndecodablePayloadKeepsTheConnection) {
   ASSERT_TRUE(pong.has_value());
   EXPECT_TRUE(exp::parse_response(*pong).ok());
   EXPECT_EQ(fx.server.stats().protocol_errors, 1u);
+
+  // A million nesting levels in one 2 MB frame: rejected in band like
+  // any other undecodable payload, never a crash of the daemon.
+  const std::size_t depth = 1000000;
+  core::net::write_frame(sock,
+                         std::string(depth, '[') + std::string(depth, ']'));
+  const auto deep_reply = core::net::read_frame(sock);
+  ASSERT_TRUE(deep_reply.has_value());
+  EXPECT_EQ(exp::parse_response(*deep_reply).status,
+            exp::ServiceStatus::BadRequest);
+  core::net::write_frame(sock, exp::encode_ping());
+  const auto second_pong = core::net::read_frame(sock);
+  ASSERT_TRUE(second_pong.has_value());
+  EXPECT_TRUE(exp::parse_response(*second_pong).ok());
+  EXPECT_EQ(fx.server.stats().protocol_errors, 2u);
 }
 
 TEST(RpcServer, OversizedFrameIsRejectedAndDropped) {

@@ -171,17 +171,6 @@ TEST(TraceProfile, UnbalancedSpansAreHealed) {
   EXPECT_NE(render_profile(profile).find("WARNING"), std::string::npos);
 }
 
-TEST(TraceProfile, FromChromeReadsDroppedEventsCounter) {
-  const auto profile = profile_of(
-      span_json("ph", "work", 0, 10) +
-      ",{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":0,\"cat\":\"trace\","
-      "\"name\":\"trace.dropped_events\",\"args\":{\"value\":17}}");
-  EXPECT_EQ(profile.dropped_events, 17u);
-  // The marker is bookkeeping, not a span or a regular counter sample.
-  EXPECT_EQ(profile.find("trace", "trace.dropped_events"), nullptr);
-  EXPECT_NE(render_profile(profile).find("17"), std::string::npos);
-}
-
 TEST(TraceProfile, MultiTrackBoundingTrackHasLargestExtent) {
   const auto profile = profile_of(span_json("ph", "short", 0, 50, 0) +
                                   span_json("ph", "long", 0, 200, 1));

@@ -16,7 +16,7 @@ BenchReport sample() {
   r.wall_seconds = 1.25;
   r.metrics["campaign.jobs"] = 108;
   r.metrics["campaign.cache_hits"] = 54;
-  r.metrics["trace.dropped_events"] = 0;
+  r.metrics["trace.events"] = 0;
   r.throughput.push_back({"BM_Allocation/cpa/10", 1.5e-4, 66666.5});
   r.throughput.push_back({"BM_TwoStepPipeline/50", 0.02, 0.0});
   return r;

@@ -1,6 +1,6 @@
 // Streaming tracer tests: the ring-buffered EventStream flush path and
 // the incremental Chrome trace writer, including byte-identity of the
-// streamed document with the batch exporter and the event-cap interplay.
+// streamed document with the snapshot exporter.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "mtsched/obs/chrome_trace.hpp"
-#include "mtsched/obs/metrics.hpp"
 #include "mtsched/obs/trace.hpp"
 
 namespace {
@@ -98,25 +97,6 @@ TEST(TracerStream, BatchesPreserveEmissionOrderPerTrack) {
   EXPECT_EQ(stream.batches[1].track, "b");
 }
 
-TEST(TracerStream, StreamedEventsDoNotCountAgainstTheCap) {
-  Tracer tracer;
-  tracer.set_event_cap(10);
-  RecordingStream stream;
-  tracer.set_stream(&stream, 4);
-  emit_sequence(tracer.root(), 50);  // 200 events, cap 10
-  tracer.flush_stream();
-  EXPECT_EQ(tracer.dropped_events(), 0u);
-  EXPECT_EQ(stream.total_events(), 200u);
-}
-
-TEST(TracerStream, CapStillTruncatesWithoutAStream) {
-  Tracer tracer;
-  tracer.set_event_cap(10);
-  emit_sequence(tracer.root(), 50);
-  EXPECT_EQ(tracer.dropped_events(), 190u);
-  EXPECT_EQ(tracer.num_events(), 10u);
-}
-
 // --- ChromeStreamWriter --------------------------------------------------
 
 std::string batch_document(int rounds, bool leave_open) {
@@ -139,7 +119,7 @@ std::string streamed_document(int rounds, bool leave_open,
   emit_sequence(tracer.root(), rounds);
   if (leave_open) tracer.root().begin("test", "unclosed");
   tracer.flush_stream();
-  writer.finish(tracer.dropped_events());
+  writer.finish();
   return os.str();
 }
 
@@ -183,7 +163,7 @@ TEST(ChromeStreamWriter, MultiTrackDocumentIsWellFormed) {
       b.instant("test", "b" + std::to_string(i));
     }
     tracer.flush_stream();
-    writer.finish(tracer.dropped_events());
+    writer.finish();
   }
   const ChromeTrace trace = parse_chrome_json(os.str());
   ASSERT_EQ(trace.track_names.size(), 3u);  // main + alpha + beta
@@ -204,27 +184,6 @@ TEST(ChromeStreamWriter, MultiTrackDocumentIsWellFormed) {
   }
   EXPECT_EQ(on_a, 5u);
   EXPECT_EQ(on_b, 5u);
-}
-
-TEST(ChromeStreamWriter, RecordsDroppedEventsCounter) {
-  std::ostringstream os;
-  {
-    ChromeStreamWriter writer(os);
-    Tracer tracer;
-    tracer.set_stream(&writer, 8);
-    emit_sequence(tracer.root(), 1);
-    tracer.flush_stream();
-    writer.finish(17);  // as if the cap had dropped 17 events
-  }
-  const ChromeTrace trace = parse_chrome_json(os.str());
-  bool found = false;
-  for (const auto& e : trace.events) {
-    if (e.name == "trace.dropped_events") {
-      EXPECT_EQ(e.value, 17.0);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
 }
 
 }  // namespace

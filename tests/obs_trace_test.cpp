@@ -199,45 +199,74 @@ TEST(ChromeTrace, ParserRejectsMalformedInput) {
   EXPECT_THROW(parse_chrome_json("not json"), mtsched::core::ParseError);
   EXPECT_THROW(parse_chrome_json("{\"traceEvents\": [}"),
                mtsched::core::ParseError);
-}
-
-TEST(Trace, EventCapDropsAndCounts) {
-  Tracer tracer;
-  MetricsRegistry metrics;
-  tracer.set_event_cap(3, &metrics);
-  Track root = tracer.root();
-  for (int i = 0; i < 10; ++i) root.instant("cat", "e");
-
-  EXPECT_EQ(tracer.num_events(), 3u);
-  EXPECT_EQ(tracer.dropped_events(), 7u);
-  EXPECT_EQ(tracer.snapshot()[0].events.size(), 3u);
-  EXPECT_DOUBLE_EQ(metrics.counter("trace.dropped_events").value(), 7.0);
-}
-
-TEST(Trace, EventCapZeroMeansUnbounded) {
-  Tracer tracer;
-  Track root = tracer.root();
-  for (int i = 0; i < 100; ++i) root.instant("cat", "e");
-  EXPECT_EQ(tracer.num_events(), 100u);
-  EXPECT_EQ(tracer.dropped_events(), 0u);
-}
-
-TEST(Trace, EventCapIsThreadSafe) {
-  Tracer tracer;
-  tracer.set_event_cap(1000);
-  constexpr int kThreads = 8;
-  constexpr int kEvents = 500;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&tracer, t] {
-      Track own = tracer.track("worker " + std::to_string(t));
-      for (int i = 0; i < kEvents; ++i) own.instant("cat", "e");
-    });
+  // Nesting far past the parser's depth limit: a typed error, not a
+  // stack overflow.
+  const std::size_t depth = 200000;
+  EXPECT_THROW(parse_chrome_json(std::string(depth, '[') +
+                                 std::string(depth, ']')),
+               mtsched::core::ParseError);
+  // A tid must be an integer indexing one of the document's records.
+  const auto with_tid = [](const std::string& record) {
+    return "{\"traceEvents\":[" + record + "]}";
+  };
+  const std::string meta_head =
+      "{\"ph\":\"M\",\"pid\":0,\"name\":\"thread_name\","
+      "\"args\":{\"name\":\"x\"},\"tid\":";
+  const std::string event_head =
+      "{\"ph\":\"i\",\"pid\":0,\"ts\":0,\"cat\":\"c\",\"name\":\"e\","
+      "\"tid\":";
+  for (const std::string tid : {"-1", "2000000000", "1", "0.5", "\"0\""}) {
+    EXPECT_THROW(parse_chrome_json(with_tid(meta_head + tid + "}")),
+                 mtsched::core::ParseError)
+        << "thread_name tid " << tid;
   }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(tracer.num_events(), 1000u);
-  EXPECT_EQ(tracer.dropped_events(),
-            static_cast<std::size_t>(kThreads * kEvents - 1000));
+  for (const std::string tid : {"-5", "1e300", "1", "0.5"}) {
+    EXPECT_THROW(parse_chrome_json(with_tid(event_head + tid + "}")),
+                 mtsched::core::ParseError)
+        << "event tid " << tid;
+  }
+  EXPECT_NO_THROW(parse_chrome_json(with_tid(event_head + "0}")));
+}
+
+TEST(ChromeTrace, ThreeTrackDocumentIsByteStable) {
+  // Open spans on two of three tracks. The expected document pins the
+  // snapshot layout byte for byte: every thread_name record first, then
+  // per track its events followed by its auto-closed spans.
+  Tracer tracer;
+  const Track a = tracer.track("alpha");
+  const Track b = tracer.track("beta \"quoted\"");
+  tracer.root().begin("run", "main span", {{"k", "v"}});
+  a.begin("sched", "outer");
+  b.instant("sim", "tick", {{"n", "1"}, {"m", "two"}});
+  a.begin("sched", "inner");
+  b.counter("sim", "height", 2.5);
+  tracer.root().end("run", "main span");
+  a.instant("sched", "mark");
+  b.begin("sim", "open on b");
+  ChromeTraceOptions opt;
+  opt.normalize_timestamps = true;
+  opt.process_name = "three";
+  const std::string expected = R"({"traceEvents":[
+{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":"three"}},
+{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"main"}},
+{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"alpha"}},
+{"ph":"M","pid":0,"tid":2,"name":"thread_name","args":{"name":"beta \"quoted\""}},
+{"ph":"B","pid":0,"tid":0,"ts":0,"cat":"run","name":"main span","args":{"k":"v"}},
+{"ph":"E","pid":0,"tid":0,"ts":1,"cat":"run","name":"main span"},
+{"ph":"B","pid":0,"tid":1,"ts":0,"cat":"sched","name":"outer"},
+{"ph":"B","pid":0,"tid":1,"ts":1,"cat":"sched","name":"inner"},
+{"ph":"i","pid":0,"tid":1,"ts":2,"cat":"sched","name":"mark"},
+{"ph":"E","pid":0,"tid":1,"ts":3,"cat":"sched","name":"inner","args":{"incomplete":true}},
+{"ph":"E","pid":0,"tid":1,"ts":4,"cat":"sched","name":"outer","args":{"incomplete":true}},
+{"ph":"i","pid":0,"tid":2,"ts":0,"cat":"sim","name":"tick","args":{"n":"1","m":"two"}},
+{"ph":"C","pid":0,"tid":2,"ts":1,"cat":"sim","name":"height","args":{"value":2.5}},
+{"ph":"B","pid":0,"tid":2,"ts":2,"cat":"sim","name":"open on b"},
+{"ph":"E","pid":0,"tid":2,"ts":3,"cat":"sim","name":"open on b","args":{"incomplete":true}}
+]}
+)";
+  EXPECT_EQ(to_chrome_json(tracer, opt), expected);
+  // Exporting is a read: a second export sees the same open spans.
+  EXPECT_EQ(to_chrome_json(tracer, opt), expected);
 }
 
 TEST(ChromeTrace, ExporterAutoClosesUnbalancedSpans) {
@@ -258,19 +287,6 @@ TEST(ChromeTrace, ExporterAutoClosesUnbalancedSpans) {
   EXPECT_EQ(parsed.events[3].args[0].second, "true");
   EXPECT_EQ(parsed.events[4].phase, 'E');
   EXPECT_EQ(parsed.events[4].name, "outer");
-}
-
-TEST(ChromeTrace, ExporterEmitsDroppedEventsMarker) {
-  Tracer tracer;
-  tracer.set_event_cap(2);
-  Track root = tracer.root();
-  for (int i = 0; i < 5; ++i) root.instant("cat", "e");
-  const auto parsed = parse_chrome_json(to_chrome_json(tracer));
-  ASSERT_EQ(parsed.events.size(), 3u);
-  const auto& marker = parsed.events.back();
-  EXPECT_EQ(marker.phase, 'C');
-  EXPECT_EQ(marker.name, "trace.dropped_events");
-  EXPECT_DOUBLE_EQ(marker.value, 3.0);
 }
 
 TEST(ChromeTrace, NormalizedAutoCloseKeepsTimestampsStrictlyIncreasing) {

@@ -272,73 +272,48 @@ void add_obs_options(ArgParser& args) {
                 "replace trace timestamps with per-track event ordinals "
                 "(byte-identical across runs; for diffing)");
   args.add_flag("metrics", "print the metrics registry after the run");
-  args.add_uint64("trace-cap", 0,
-                  "keep at most N trace events; drops are counted in the "
-                  "trace.dropped_events metric (0 = unbounded)",
-                  "N");
   args.add_flag("trace-stream",
                 "stream trace events to the --trace file as they are "
                 "emitted instead of buffering the whole trace in memory "
-                "(for very large runs; makes --trace-cap unnecessary)");
-  args.add_uint64("trace-ring", 4096,
-                  "per-track ring buffer capacity used with --trace-stream",
-                  "N");
+                "(for very large runs)");
 }
 
-/// Applies --trace-cap before any events are emitted.
-void apply_trace_cap(const ArgParser& args, obs::Tracer& tracer,
-                     obs::MetricsRegistry* metrics) {
-  const auto cap = args.uint64("trace-cap");
-  if (cap > 0) {
-    tracer.set_event_cap(static_cast<std::size_t>(cap), metrics);
-  }
-}
-
-void write_trace_file(const ArgParser& args, const obs::Tracer& tracer) {
-  const std::string& path = args.str("trace");
-  obs::ChromeTraceOptions opt;
-  opt.normalize_timestamps = args.flag("trace-normalize");
-  std::ofstream f(path, std::ios::binary);
-  if (!f) {
-    throw core::InvalidArgument("cannot open --trace file '" + path + "'");
-  }
-  f << obs::to_chrome_json(tracer, opt);
-}
-
-/// Streaming trace pipeline: with --trace-stream, the --trace file is
-/// opened up front and a ChromeStreamWriter is attached to the tracer, so
-/// events hit disk as the run produces them and memory stays bounded by
-/// the ring buffers. Inactive (and write_trace_file applies) otherwise.
-class TraceStream {
+/// The --trace file of `run` and `campaign`, opened up front. Buffered
+/// by default: finish() exports the whole tracer. With --trace-stream a
+/// ChromeStreamWriter is attached to the tracer instead, so events hit
+/// disk as the run produces them and memory stays bounded by the ring
+/// buffers. Inert without --trace.
+class TraceOutput {
  public:
-  TraceStream(const ArgParser& args, obs::Tracer& tracer) : tracer_(tracer) {
-    if (args.str("trace").empty() || !args.flag("trace-stream")) return;
-    const auto ring = args.uint64("trace-ring");
-    if (ring == 0) {
-      throw core::InvalidArgument("--trace-ring must be at least 1");
-    }
-    file_.open(args.str("trace"), std::ios::binary);
+  TraceOutput(const ArgParser& args, obs::Tracer& tracer) : tracer_(tracer) {
+    const std::string& path = args.str("trace");
+    if (path.empty()) return;
+    file_.open(path, std::ios::binary);
     if (!file_) {
-      throw core::InvalidArgument("cannot open --trace file '" +
-                                  args.str("trace") + "'");
+      throw core::InvalidArgument("cannot open --trace file '" + path + "'");
     }
-    obs::ChromeTraceOptions opt;
-    opt.normalize_timestamps = args.flag("trace-normalize");
-    writer_.emplace(file_, opt);
-    tracer.set_stream(&*writer_, static_cast<std::size_t>(ring));
+    options_.normalize_timestamps = args.flag("trace-normalize");
+    if (args.flag("trace-stream")) {
+      writer_.emplace(file_, options_);
+      tracer.set_stream(&*writer_);
+    }
   }
 
-  bool active() const { return writer_.has_value(); }
+  bool enabled() const { return file_.is_open(); }
 
-  /// Flushes the buffered tails and terminates the document.
+  /// Writes out everything the tracer holds and terminates the document.
   void finish() {
-    if (!writer_) return;
-    tracer_.flush_stream();
-    writer_->finish(tracer_.dropped_events());
+    if (writer_) {
+      tracer_.flush_stream();
+      writer_->finish();
+    } else if (enabled()) {
+      file_ << obs::to_chrome_json(tracer_, options_);
+    }
   }
 
  private:
   obs::Tracer& tracer_;
+  obs::ChromeTraceOptions options_;
   std::ofstream file_;
   std::optional<obs::ChromeStreamWriter> writer_;
 };
@@ -435,23 +410,17 @@ int cmd_run(int argc, char** argv) {
   // events to one tracer/registry via the ambient obs context.
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  apply_trace_cap(args, tracer, args.flag("metrics") ? &metrics : nullptr);
-  const bool tracing = !args.str("trace").empty();
-  TraceStream stream(args, tracer);
+  TraceOutput trace(args, tracer);
   std::optional<obs::ScopedContext> obs_ctx;
-  if (tracing || args.flag("metrics")) {
-    obs_ctx.emplace(tracing ? tracer.root() : obs::Track{},
+  if (trace.enabled() || args.flag("metrics")) {
+    obs_ctx.emplace(trace.enabled() ? tracer.root() : obs::Track{},
                     args.flag("metrics") ? &metrics : nullptr);
   }
 
   exp::RunArtifacts artifacts;
   const auto resp = session.run(req, &artifacts);
   obs_ctx.reset();
-  if (stream.active()) {
-    stream.finish();
-  } else if (tracing) {
-    write_trace_file(args, tracer);
-  }
+  trace.finish();
   // Surface request-level failures exactly like the pre-session CLI:
   // as an error on stderr with exit status 1.
   if (!resp.ok()) throw core::Error(resp.message);
@@ -729,22 +698,16 @@ int cmd_campaign(int argc, char** argv) {
   }
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  apply_trace_cap(args, tracer, args.flag("metrics") ? &metrics : nullptr);
-  const bool tracing = !args.str("trace").empty();
-  TraceStream stream(args, tracer);
-  obs::BasicSink sink(tracing ? &tracer : nullptr,
+  TraceOutput trace(args, tracer);
+  obs::BasicSink sink(trace.enabled() ? &tracer : nullptr,
                       args.flag("metrics") ? &metrics : nullptr,
                       std::move(on_progress));
   const bool observed =
-      tracing || args.flag("metrics") || args.flag("progress");
+      trace.enabled() || args.flag("metrics") || args.flag("progress");
 
   const exp::Campaign campaign(lab->rig());
   const auto result = campaign.run(spec, observed ? &sink : nullptr);
-  if (stream.active()) {
-    stream.finish();
-  } else if (tracing) {
-    write_trace_file(args, tracer);
-  }
+  trace.finish();
 
   const auto write_doc = [](const std::string& path, const std::string& doc,
                             const char* what) {
