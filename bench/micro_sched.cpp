@@ -43,8 +43,7 @@ void BM_Allocation(benchmark::State& state, const std::string& algo_name) {
 // skeleton (cached topological order, delta top/bottom level updates and
 // memoized task-time curves): they must stay ~linear in the number of
 // growth iterations rather than quadratic. The n=50000 tier additionally
-// guards the arena-backed workspaces and the running-area screen at
-// very-large-DAG scale.
+// guards the running-area screen at very-large-DAG scale.
 BENCHMARK_CAPTURE(BM_Allocation, cpa, std::string("CPA"))
     ->Arg(10)
     ->Arg(50)

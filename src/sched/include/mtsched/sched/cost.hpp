@@ -15,6 +15,15 @@
 
 namespace mtsched::sched {
 
+/// A task's shape, (kernel, matrix_dim) packed into one key: the only
+/// view of a task that SchedCost estimates may depend on, and so the key
+/// every cost memo shares entries on.
+inline std::uint64_t shape_key(const dag::Task& t) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.kernel))
+          << 32) |
+         static_cast<std::uint32_t>(t.matrix_dim);
+}
+
 class SchedCost {
  public:
   virtual ~SchedCost() = default;

@@ -5,8 +5,8 @@
 #include <functional>
 #include <limits>
 #include <span>
+#include <vector>
 
-#include "mtsched/core/arena.hpp"
 #include "mtsched/core/error.hpp"
 #include "mtsched/obs/trace.hpp"
 
@@ -16,11 +16,10 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
-/// Per-task times under the current allocation (arena-scratch backed).
-std::span<double> task_times(const dag::Dag& g, const SchedCost& cost,
-                             const std::vector<int>& alloc,
-                             core::Arena& arena) {
-  auto tau = arena.make_span<double>(g.num_tasks());
+/// Per-task times under the current allocation.
+std::vector<double> task_times(const dag::Dag& g, const SchedCost& cost,
+                               const std::vector<int>& alloc) {
+  std::vector<double> tau(g.num_tasks());
   for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
     tau[t] = cost.task_time(g.task(t), alloc[t]);
     MTSCHED_INVARIANT(tau[t] > 0.0, "task time must be positive");
@@ -37,13 +36,12 @@ std::span<double> task_times(const dag::Dag& g, const SchedCost& cost,
 /// to the scalar task_time by the SchedCost contract.
 class TaskTimeMemo {
  public:
-  TaskTimeMemo(const dag::Dag& g, const SchedCost& cost, int P,
-               core::Arena& arena)
+  TaskTimeMemo(const dag::Dag& g, const SchedCost& cost, int P)
       : g_(g),
         cost_(cost),
         stride_(static_cast<std::size_t>(P)),
-        memo_(arena.make_span<double>(g.num_tasks() * stride_)),
-        filled_(arena.make_span<std::uint8_t>(g.num_tasks())) {}
+        memo_(g.num_tasks() * stride_),
+        filled_(g.num_tasks()) {}
 
   /// tau(t, p) for p in [1, P].
   double operator()(dag::TaskId t, int p) const {
@@ -64,10 +62,9 @@ class TaskTimeMemo {
   const dag::Dag& g_;
   const SchedCost& cost_;
   std::size_t stride_;
-  // Spans into the caller's arena scope; the shallow-const span lets the
-  // lazy row fill stay behind a const interface without `mutable`.
-  std::span<double> memo_;
-  std::span<std::uint8_t> filled_;
+  // Filled lazily behind the const interface.
+  mutable std::vector<double> memo_;
+  mutable std::vector<std::uint8_t> filled_;
 };
 
 /// Top/bottom levels with zero edge weights (classic CPA uses computation
@@ -79,16 +76,16 @@ class TaskTimeMemo {
 /// bit-identical to recomputing from scratch.
 class LevelTracker {
  public:
-  LevelTracker(const dag::Dag& g, core::Arena& arena)
+  explicit LevelTracker(const dag::Dag& g)
       : order_(g.topology().order),
         pos_(g.topology().positions),
         pred_off_(g.topology().pred_offsets),
         pred_(g.topology().preds),
         succ_off_(g.topology().succ_offsets),
         succ_(g.topology().succs),
-        top_(arena.make_span<double>(g.num_tasks())),
-        bottom_(arena.make_span<double>(g.num_tasks())),
-        dirty_(arena.make_span<std::uint8_t>(g.num_tasks())) {
+        top_(g.num_tasks()),
+        bottom_(g.num_tasks()),
+        dirty_(g.num_tasks()) {
     // The flat CSR adjacency and topological positions are the Dag's
     // cached ones — the relaxation loops below are the hot spot and must
     // not pay vector-of-vector indirection, but the arrays only depend
@@ -193,10 +190,10 @@ class LevelTracker {
   const std::vector<dag::TaskId>& pred_;
   const std::vector<std::size_t>& succ_off_;
   const std::vector<dag::TaskId>& succ_;
-  std::span<double> top_;     ///< longest path length ending before t
-  std::span<double> bottom_;  ///< longest path length from t inclusive
+  std::vector<double> top_;     ///< longest path length ending before t
+  std::vector<double> bottom_;  ///< longest path length from t inclusive
   double t_cp_ = 0.0;
-  std::span<std::uint8_t> dirty_;  ///< indexed by topological position
+  std::vector<std::uint8_t> dirty_;  ///< indexed by topological position
 };
 
 double average_area(const dag::Dag& g, const SchedCost& cost,
@@ -213,25 +210,24 @@ double average_area(const dag::Dag& g, const SchedCost& cost,
 using GrowGate = std::function<bool(dag::TaskId, int /*new_p*/)>;
 using OnGrow = std::function<void(dag::TaskId)>;
 
-std::vector<int> cpa_skeleton(const dag::Dag& g, int P,
-                              const TaskTimeMemo& tt, core::Arena& arena,
+std::vector<int> cpa_skeleton(const dag::Dag& g, int P, const TaskTimeMemo& tt,
                               const GrowGate& may_grow,
                               const OnGrow& on_grow = {}) {
   MTSCHED_REQUIRE(P >= 1, "cluster must have at least one processor");
   MTSCHED_REQUIRE(g.num_tasks() > 0, "cannot allocate an empty DAG");
   const std::size_t n = g.num_tasks();
   std::vector<int> alloc(n, 1);
-  auto tau = arena.make_span<double>(n);
+  std::vector<double> tau(n);
   for (dag::TaskId t = 0; t < n; ++t) {
     tau[t] = tt(t, 1);
     MTSCHED_INVARIANT(tau[t] > 0.0, "task time must be positive");
   }
-  LevelTracker lv(g, arena);
+  LevelTracker lv(g);
   lv.rebuild(tau);
   // Average-area terms alloc[t] * tau(t, alloc[t]); only the grown task's
   // term changes per iteration, but t_a is still the same ordered sum the
   // term-by-term recomputation produced.
-  auto area_term = arena.make_span<double>(n);
+  std::vector<double> area_term(n);
   for (dag::TaskId t = 0; t < n; ++t) {
     area_term[t] = static_cast<double>(alloc[t]) * tau[t];
   }
@@ -297,9 +293,8 @@ CpaMetrics cpa_metrics(const dag::Dag& g, const SchedCost& cost,
                        const std::vector<int>& alloc, int P) {
   MTSCHED_REQUIRE(alloc.size() == g.num_tasks(),
                   "allocation vector size mismatch");
-  core::ArenaScope scratch(core::scratch_arena());
-  const auto tau = task_times(g, cost, alloc, scratch.arena());
-  LevelTracker lv(g, scratch.arena());
+  const auto tau = task_times(g, cost, alloc);
+  LevelTracker lv(g);
   lv.rebuild(tau);
   CpaMetrics m;
   m.t_cp = lv.t_cp();
@@ -313,10 +308,8 @@ std::vector<int> CpaAllocator::allocate(const dag::Dag& g,
                            "allocate:" + name(),
                            {{"tasks", std::to_string(g.num_tasks())},
                             {"P", std::to_string(P)}});
-  core::ArenaScope scratch(core::scratch_arena());
-  const TaskTimeMemo tt(g, cost, P, scratch.arena());
-  return cpa_skeleton(g, P, tt, scratch.arena(),
-                      [](dag::TaskId, int) { return true; });
+  const TaskTimeMemo tt(g, cost, P);
+  return cpa_skeleton(g, P, tt, [](dag::TaskId, int) { return true; });
 }
 
 HcpaAllocator::HcpaAllocator(double min_efficiency)
@@ -346,10 +339,9 @@ std::vector<int> HcpaAllocator::allocate(const dag::Dag& g,
   const int cap = std::max(
       1, static_cast<int>(std::ceil(static_cast<double>(P) /
                                     static_cast<double>(omega))));
-  core::ArenaScope scratch(core::scratch_arena());
-  const TaskTimeMemo tt(g, cost, P, scratch.arena());
+  const TaskTimeMemo tt(g, cost, P);
   const double min_eff = min_efficiency_;
-  return cpa_skeleton(g, P, tt, scratch.arena(), [&](dag::TaskId t, int np) {
+  return cpa_skeleton(g, P, tt, [&](dag::TaskId t, int np) {
     if (np > cap) return false;
     // Envelope check: growth stops only on *sustained* inefficiency. A
     // single inefficient point (e.g. a p = 8 cache outlier in a profiled
@@ -376,10 +368,9 @@ std::vector<int> McpaAllocator::allocate(const dag::Dag& g,
   for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
     ++level_total[static_cast<std::size_t>(level[t])];
   }
-  core::ArenaScope scratch(core::scratch_arena());
-  const TaskTimeMemo tt(g, cost, P, scratch.arena());
+  const TaskTimeMemo tt(g, cost, P);
   return cpa_skeleton(
-      g, P, tt, scratch.arena(),
+      g, P, tt,
       [&](dag::TaskId t, int) {
         return level_total[static_cast<std::size_t>(level[t])] < P;
       },

@@ -4,16 +4,6 @@
 
 namespace mtsched::sched {
 
-namespace {
-
-std::uint64_t shape_key(const dag::Task& t) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.kernel))
-          << 32) |
-         static_cast<std::uint32_t>(t.matrix_dim);
-}
-
-}  // namespace
-
 CostCurveTable::CostCurveTable(const SchedCost& base, int P)
     : base_(base), procs_(static_cast<std::size_t>(P)) {
   MTSCHED_REQUIRE(P >= 1, "cluster must have at least one processor");

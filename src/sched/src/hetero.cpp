@@ -56,14 +56,13 @@ Schedule HeteroListMapper::map(const dag::Dag& g,
   }
 
   // Priorities: bottom levels with virtual-cluster times.
-  core::ArenaScope scratch(core::scratch_arena());
-  auto tau = scratch.arena().make_span<double>(g.num_tasks());
+  std::vector<double> tau(g.num_tasks());
   for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
     tau[t] = cost.task_time(g.task(t), virtual_alloc[t]);
   }
-  const auto bl = detail::bottom_levels(g, tau, scratch.arena());
-  const auto priority = detail::priority_order(bl, scratch.arena());
-  detail::ReadyQueue ready(g, priority, scratch.arena());
+  const auto bl = detail::bottom_levels(g, tau);
+  const auto priority = detail::priority_order(bl);
+  detail::ReadyQueue ready(g, priority);
   const detail::RedistMemo redist_memo(g, cost, P);
 
   Schedule s;

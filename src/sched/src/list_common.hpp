@@ -12,14 +12,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <numeric>
 #include <span>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
-#include "mtsched/core/arena.hpp"
 #include "mtsched/core/error.hpp"
 #include "mtsched/dag/dag.hpp"
 #include "mtsched/sched/cost.hpp"
@@ -30,13 +30,11 @@ namespace mtsched::sched::detail {
 /// successors), evaluated over the Dag's cached topological order and CSR
 /// adjacency. Successors are folded in the same per-task order as
 /// Dag::successors(), so every max chain sees identical operands in
-/// identical order as the adjacency-list walk it replaces. The result
-/// lives in the caller's arena scope.
-inline std::span<double> bottom_levels(const dag::Dag& g,
-                                       std::span<const double> tau,
-                                       core::Arena& arena) {
+/// identical order as the adjacency-list walk it replaces.
+inline std::vector<double> bottom_levels(const dag::Dag& g,
+                                         std::span<const double> tau) {
   const auto topo = g.topology();
-  auto bl = arena.make_span<double>(g.num_tasks());
+  std::vector<double> bl(g.num_tasks());
   for (auto it = topo.order.rbegin(); it != topo.order.rend(); ++it) {
     const dag::TaskId t = *it;
     double b = tau[t];
@@ -51,11 +49,9 @@ inline std::span<double> bottom_levels(const dag::Dag& g,
 
 /// List priorities: decreasing bottom level, ties by task id. The id
 /// tie-break makes the comparator a strict total order, so plain sort
-/// yields the unique stable ranking. The result lives in the caller's
-/// arena scope.
-inline std::span<const dag::TaskId> priority_order(
-    std::span<const double> bl, core::Arena& arena) {
-  auto order = arena.make_span<dag::TaskId>(bl.size());
+/// yields the unique stable ranking.
+inline std::vector<dag::TaskId> priority_order(std::span<const double> bl) {
+  std::vector<dag::TaskId> order(bl.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](dag::TaskId a, dag::TaskId b) {
     if (bl[a] != bl[b]) return bl[a] > bl[b];
@@ -67,17 +63,15 @@ inline std::span<const dag::TaskId> priority_order(
 /// Indegree-tracked ready queue over a fixed priority list. pop() returns
 /// the first task in priority order whose predecessors have all been
 /// marked placed — the same selection as rescanning the list, without the
-/// rescan. All state is arena-backed; the heap is reserved to the task
-/// count up front so the queue never allocates after construction.
+/// rescan. The heap is reserved to the task count up front so the queue
+/// never allocates after construction. `priority` must outlive the queue.
 class ReadyQueue {
  public:
-  ReadyQueue(const dag::Dag& g, std::span<const dag::TaskId> priority,
-             core::Arena& arena)
+  ReadyQueue(const dag::Dag& g, std::span<const dag::TaskId> priority)
       : topo_(g.topology()),
         priority_(priority),
-        rank_(arena.make_span<std::size_t>(priority.size())),
-        waiting_preds_(arena.make_span<std::size_t>(priority.size())),
-        heap_(arena) {
+        rank_(priority.size()),
+        waiting_preds_(priority.size()) {
     const std::size_t n = priority.size();
     heap_.reserve(n);
     for (std::size_t r = 0; r < n; ++r) rank_[priority[r]] = r;
@@ -116,11 +110,11 @@ class ReadyQueue {
 
   dag::Dag::TopologyView topo_;
   std::span<const dag::TaskId> priority_;
-  std::span<std::size_t> rank_;
-  std::span<std::size_t> waiting_preds_;
+  std::vector<std::size_t> rank_;
+  std::vector<std::size_t> waiting_preds_;
   // Min-heap over ranks (std::*_heap with greater<>), identical pop order
   // to the std::priority_queue it replaces.
-  core::ArenaVector<std::size_t> heap_;
+  std::vector<std::size_t> heap_;
 };
 
 /// Memoized cost.redist_time values. A redistribution estimate may read
@@ -134,56 +128,19 @@ class RedistMemo {
  public:
   RedistMemo(const dag::Dag& g, const SchedCost& cost, int P)
       : g_(g), cost_(cost), procs_(static_cast<std::size_t>(P)) {
-    // Dense task -> shape-key index, so the per-call lookup is one array
-    // load. Graphs carry a handful of distinct matrix dims, so a linear
-    // scan over the first-seen dims beats sorting every (kernel, dim)
-    // pair; a degenerate graph past the cap falls back to the sorted
-    // path.
-    constexpr std::size_t kMaxLinearDims = 64;
-    key_of_.resize(g.num_tasks());
-    std::vector<int> dims;
-    bool overflow = false;
+    // Dense task -> shape index, so a row key is one array load away.
+    std::unordered_map<std::uint64_t, std::size_t> index;
+    shape_of_.reserve(g.num_tasks());
     for (const auto& t : g.tasks()) {
-      std::size_t di = 0;
-      while (di < dims.size() && dims[di] != t.matrix_dim) ++di;
-      if (di == dims.size()) {
-        if (dims.size() == kMaxLinearDims) {
-          overflow = true;
-          break;
-        }
-        dims.push_back(t.matrix_dim);
-      }
-      key_of_[t.id] =
-          di * dag::kNumKernels + static_cast<std::size_t>(t.kernel);
+      shape_of_.push_back(
+          index.try_emplace(shape_key(t), index.size()).first->second);
     }
-    std::size_t num_shapes = dims.size() * dag::kNumKernels;
-    if (overflow) {
-      std::vector<std::pair<dag::TaskKernel, int>> shapes;
-      shapes.reserve(g.num_tasks());
-      for (const auto& t : g.tasks()) {
-        shapes.emplace_back(t.kernel, t.matrix_dim);
-      }
-      std::sort(shapes.begin(), shapes.end());
-      shapes.erase(std::unique(shapes.begin(), shapes.end()), shapes.end());
-      for (const auto& t : g.tasks()) {
-        key_of_[t.id] = static_cast<std::size_t>(
-            std::lower_bound(shapes.begin(), shapes.end(),
-                             std::make_pair(t.kernel, t.matrix_dim)) -
-            shapes.begin());
-      }
-      num_shapes = shapes.size();
-    }
-    memo_.assign(num_shapes * procs_ * procs_,
-                 std::numeric_limits<double>::quiet_NaN());
-    row_filled_.assign(num_shapes * procs_, 0);
   }
 
   /// redist_time(producer, p_src, p_dst), evaluated on first use.
   double operator()(dag::TaskId producer, int p_src, int p_dst) const {
-    double& slot = memo_[(key_of_[producer] * procs_ +
-                          static_cast<std::size_t>(p_src - 1)) *
-                             procs_ +
-                         static_cast<std::size_t>(p_dst - 1)];
+    double& slot = row(producer, p_src)
+                       .values[static_cast<std::size_t>(p_dst - 1)];
     if (std::isnan(slot)) {
       slot = cost_.redist_time(g_.task(producer), p_src, p_dst);
     }
@@ -192,26 +149,43 @@ class RedistMemo {
 
   /// The p_dst = 1..len prefix of the curve, fetched with one batched
   /// redist_time_curve call on first use (entries are bit-identical to
-  /// the scalar calls by the SchedCost contract).
+  /// the scalar calls by the SchedCost contract). The span stays valid
+  /// for the memo's lifetime.
   std::span<const double> curve(dag::TaskId producer, int p_src,
                                 std::size_t len) const {
-    const std::size_t row = key_of_[producer] * procs_ +
-                            static_cast<std::size_t>(p_src - 1);
-    double* r = memo_.data() + row * procs_;
-    if (row_filled_[row] < len) {
-      cost_.redist_time_curve(g_.task(producer), p_src, {r, len});
-      row_filled_[row] = len;
+    Row& r = row(producer, p_src);
+    if (r.filled < len) {
+      cost_.redist_time_curve(g_.task(producer), p_src, {r.values.data(), len});
+      r.filled = len;
     }
-    return {r, len};
+    return {r.values.data(), len};
   }
 
  private:
+  struct Row {
+    std::vector<double> values;  ///< indexed by p_dst - 1; NaN = not yet
+    std::size_t filled = 0;      ///< prefix filled by curve()
+  };
+
+  /// The (shape, p_src) row of `producer`, allocated on first use: a
+  /// DAG may carry a distinct shape per task, so memory must grow with
+  /// the rows a run touches, not with shapes * P. Map nodes and row
+  /// buffers never move, which keeps curve() spans valid.
+  Row& row(dag::TaskId producer, int p_src) const {
+    const auto [it, fresh] = rows_.try_emplace(
+        shape_of_[producer] * procs_ + static_cast<std::size_t>(p_src - 1));
+    if (fresh) {
+      it->second.values.assign(procs_,
+                               std::numeric_limits<double>::quiet_NaN());
+    }
+    return it->second;
+  }
+
   const dag::Dag& g_;
   const SchedCost& cost_;
   std::size_t procs_;
-  std::vector<std::size_t> key_of_;
-  mutable std::vector<double> memo_;
-  mutable std::vector<std::size_t> row_filled_;
+  std::vector<std::size_t> shape_of_;  ///< per task: dense shape index
+  mutable std::unordered_map<std::size_t, Row> rows_;
 };
 
 }  // namespace mtsched::sched::detail

@@ -94,17 +94,16 @@ Schedule ListMapper::map(const dag::Dag& g, const std::vector<int>& alloc,
                           sigma_ > 0.0 &&
                           static_cast<std::size_t>(P) <= rack_of_.size();
 
-  core::ArenaScope scratch(core::scratch_arena());
-  auto tau = scratch.arena().make_span<double>(g.num_tasks());
+  std::vector<double> tau(g.num_tasks());
   for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
     tau[t] = cost.task_time(g.task(t), alloc[t]);
   }
   // List order: decreasing bottom level, ties by id; only dependency-ready
   // tasks are eligible, tracked by the ready queue (which pops exactly the
   // first ready task in priority order).
-  const auto bl = detail::bottom_levels(g, tau, scratch.arena());
-  const auto order = detail::priority_order(bl, scratch.arena());
-  detail::ReadyQueue ready(g, order, scratch.arena());
+  const auto bl = detail::bottom_levels(g, tau);
+  const auto order = detail::priority_order(bl);
+  detail::ReadyQueue ready(g, order);
   const detail::RedistMemo redist_memo(g, cost, P);
 
   Schedule s;

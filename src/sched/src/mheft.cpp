@@ -32,14 +32,13 @@ Schedule MHeftScheduler::schedule(const dag::Dag& g) const {
 
   // Bottom levels with sequential times for priorities (HEFT's upward
   // rank, specialized to a homogeneous cluster).
-  core::ArenaScope scratch(core::scratch_arena());
-  auto tau1 = scratch.arena().make_span<double>(g.num_tasks());
+  std::vector<double> tau1(g.num_tasks());
   for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
     tau1[t] = cost_.task_time(g.task(t), 1);
   }
-  const auto bl = detail::bottom_levels(g, tau1, scratch.arena());
-  const auto priority = detail::priority_order(bl, scratch.arena());
-  detail::ReadyQueue ready(g, priority, scratch.arena());
+  const auto bl = detail::bottom_levels(g, tau1);
+  const auto priority = detail::priority_order(bl);
+  detail::ReadyQueue ready(g, priority);
   const detail::RedistMemo redist_memo(g, cost_, P);
 
   Schedule s;

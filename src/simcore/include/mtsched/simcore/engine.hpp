@@ -31,8 +31,7 @@
 //     lists as one CSR view (see maxmin.hpp).
 //   * Cold per-activity state (name, callback, usage lists) is slot-slab
 //     indexed and only touched at submit/transition/completion; usage
-//     lists are bump-allocated from the engine's per-run core::Arena, so
-//     a run performs no steady-state heap allocation.
+//     lists are appended to one flat pool per run.
 // Expiries, transitions and completions from the two classes are merged
 // back into ascending-id order before callbacks and trace emission, so
 // every observable sequence — event times, rates, resource usage, traces
@@ -44,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "mtsched/core/arena.hpp"
 #include "mtsched/obs/metrics.hpp"
 #include "mtsched/obs/trace.hpp"
 #include "mtsched/simcore/maxmin.hpp"
@@ -134,10 +132,6 @@ class Engine {
   std::vector<double> usage_;
   std::vector<std::string> resource_names_;
 
-  /// Per-run bump arena backing the usage-list pool and the solver's CSR
-  /// build; rewound wholesale when the engine dies with its run.
-  core::Arena arena_;
-
   // --- cold per-activity state, slot-slab indexed ------------------------
   std::vector<ActivityId> slot_id_;
   std::vector<std::string> slot_name_;
@@ -147,9 +141,9 @@ class Engine {
   std::vector<double> slot_amount_;  ///< remaining work while in latency phase
   std::vector<std::uint32_t> free_slots_;
 
-  // Usage-list pool (append-only per run, arena-backed).
-  core::ArenaVector<std::uint32_t> use_res_{arena_};
-  core::ArenaVector<double> use_weight_{arena_};
+  // Usage-list pool (append-only per run).
+  std::vector<std::uint32_t> use_res_;
+  std::vector<double> use_weight_;
 
   // --- latency class: parallel arrays sorted by remaining delay ----------
   std::vector<double> d_rem_;
@@ -192,11 +186,11 @@ class Engine {
 
   // Solve + step scratch (allocated once, reused every step).
   MaxMinSolver solver_;
-  core::ArenaVector<std::uint32_t> csr_off_{arena_};
-  core::ArenaVector<std::uint32_t> csr_res_{arena_};
-  core::ArenaVector<double> csr_w_{arena_};
-  core::ArenaVector<double> csr_rates_{arena_};
-  core::ArenaVector<std::uint32_t> csr_map_{arena_};  ///< CSR row → work index
+  std::vector<std::uint32_t> csr_off_;
+  std::vector<std::uint32_t> csr_res_;
+  std::vector<double> csr_w_;
+  std::vector<double> csr_rates_;
+  std::vector<std::uint32_t> csr_map_;  ///< CSR row → work index
   std::vector<std::uint32_t> expired_;     ///< this step's latency expiries
   std::vector<std::uint32_t> trans_slot_;  ///< expiries entering the work class
   std::vector<double> trans_rem_;

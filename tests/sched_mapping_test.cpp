@@ -490,23 +490,37 @@ void expect_schedules_identical(const Schedule& fast, const Schedule& ref,
 /// stamp-based overlap fallback (bitmask path covers P <= 64 only).
 class MappingEquivalence : public ::testing::TestWithParam<int> {};
 
-TEST_P(MappingEquivalence, ReadyQueueMatchesNaiveReference) {
+/// Sweep points below this use one matrix dim per DAG; this one spreads
+/// its 182 tasks over 97 dims, so the redistribution memo sees more than
+/// 64 shapes, most shared by several producers.
+constexpr int kManyDimsPoint = 8;
+
+Dag equivalence_dag(int i) {
   DagGenParams p;
-  p.num_tasks = 30 + GetParam() * 19;
-  p.width = 2 + GetParam() % 5;
+  p.num_tasks = 30 + i * 19;
+  p.width = 2 + i % 5;
   p.add_ratio = 0.4;
-  p.matrix_dim = 1000 + 250 * (GetParam() % 4);
-  p.seed = static_cast<std::uint64_t>(GetParam()) * 97 + 11;
-  const auto inst = generate_random_dag(p);
+  p.matrix_dim = 1000 + 250 * (i % 4);
+  p.seed = static_cast<std::uint64_t>(i) * 97 + 11;
+  Dag g = generate_random_dag(p).graph;
+  if (i != kManyDimsPoint) return g;
+  Dag spread;
+  for (const auto& t : g.tasks()) {
+    spread.add_task(t.kernel, 1000 + 8 * static_cast<int>(t.id % 97), t.name);
+  }
+  for (const auto& e : g.edges()) spread.add_edge(e.src, e.dst);
+  return spread;
+}
+
+TEST_P(MappingEquivalence, ReadyQueueMatchesNaiveReference) {
+  const Dag g = equivalence_dag(GetParam());
   const VariedCost cost;
   for (int P : {4, 32, 70}) {
-    const auto alloc = HcpaAllocator{}.allocate(inst.graph, cost, P);
+    const auto alloc = HcpaAllocator{}.allocate(g, cost, P);
     for (auto strategy : {MappingStrategy::EarliestStart,
                           MappingStrategy::RedistributionAware}) {
-      const auto fast =
-          ListMapper(strategy).map(inst.graph, alloc, cost, P);
-      const auto ref =
-          reference_list_map(inst.graph, alloc, cost, P, strategy);
+      const auto fast = ListMapper(strategy).map(g, alloc, cost, P);
+      const auto ref = reference_list_map(g, alloc, cost, P, strategy);
       expect_schedules_identical(
           fast, ref,
           strategy == MappingStrategy::EarliestStart ? "earliest"
@@ -529,27 +543,20 @@ TEST_P(MappingEquivalence, RackAwareMatchesNaiveReference) {
     racks[static_cast<std::size_t>(pr)] = mapper.rack_of(pr);
   }
 
-  DagGenParams p;
-  p.num_tasks = 30 + GetParam() * 19;
-  p.width = 2 + GetParam() % 5;
-  p.add_ratio = 0.4;
-  p.matrix_dim = 1000 + 250 * (GetParam() % 4);
-  p.seed = static_cast<std::uint64_t>(GetParam()) * 97 + 11;
-  const auto inst = generate_random_dag(p);
+  const Dag g = equivalence_dag(GetParam());
   const VariedCost cost;
   for (int P : {4, 32, 70}) {
-    const auto alloc = HcpaAllocator{}.allocate(inst.graph, cost, P);
-    const auto fast = mapper.map(inst.graph, alloc, cost, P);
+    const auto alloc = HcpaAllocator{}.allocate(g, cost, P);
+    const auto fast = mapper.map(g, alloc, cost, P);
     const auto ref =
-        reference_list_map(inst.graph, alloc, cost, P,
-                           MappingStrategy::RackAware, 1.0, racks,
-                           mapper.rack_sigma());
+        reference_list_map(g, alloc, cost, P, MappingStrategy::RackAware,
+                           1.0, racks, mapper.rack_sigma());
     expect_schedules_identical(fast, ref, "rack_aware");
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomDags, MappingEquivalence,
-                         ::testing::Range(0, 8));
+                         ::testing::Range(0, kManyDimsPoint + 1));
 
 TEST(MapperRackAware, DegeneratesToRedistAwareOnStarPlatforms) {
   // Flat spec: sigma is 0, so RackAware must reproduce
