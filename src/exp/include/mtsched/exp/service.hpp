@@ -11,14 +11,12 @@
 //
 // Admitted requests land in a pending queue drained by core::ThreadPool
 // workers in dynamic micro-batches: each drain takes *everything*
-// pending (up to max_batch) and serves it through one
-// Session::BatchScope, so compatible requests — same platform and cost
-// model — share one sched::CostCurveTable per batch. The flush policy is
-// "batch whatever is ready, never wait on a timer": an idle service
-// serves each request alone with no added latency, while a saturated
-// service coalesces the backlog that piled up behind the busy workers.
-// Responses stay byte-identical to sequential Session::run calls (the
-// BatchScope contract).
+// pending (up to max_batch) and serves it one request at a time through
+// Session::run. The flush policy is "batch whatever is ready, never wait
+// on a timer": an idle service serves each request alone with no added
+// latency, while a saturated service sweeps the backlog that piled up
+// behind the busy workers into one worker. Responses are byte-identical
+// to sequential Session::run calls because they are those calls.
 //
 // Observation goes through the usual obs::Sink: one trace lane per
 // request, service.{accepted,rejected,completed,batches,
@@ -128,11 +126,11 @@ class Service {
     std::chrono::steady_clock::time_point admitted_at;
   };
 
-  /// Pool task: serve whatever is pending (up to max_batch) through one
-  /// BatchScope. One drain is scheduled per admitted request, so every
-  /// request has a worker coming for it; drains that find the queue
-  /// empty (an earlier drain swept their request into its batch) return
-  /// immediately.
+  /// Pool task: serve whatever is pending (up to max_batch), each
+  /// request through Session::run. One drain is scheduled per admitted
+  /// request, so every request has a worker coming for it; drains that
+  /// find the queue empty (an earlier drain swept their request into its
+  /// batch) return immediately.
   void drain();
 
   const ServiceConfig cfg_;

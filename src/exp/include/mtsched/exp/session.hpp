@@ -7,9 +7,9 @@
 // behind typed ScheduleRequest/ScheduleResponse structs with explicit
 // error codes, so
 //   * `mtsched_cli run` is a thin client that renders a response,
-//   * the `mtsched serve` daemon executes the same code path per rpc
-//     request (responses are byte-identical to a local run by
-//     construction), and
+//   * the `mtsched serve` daemon (exp::Service) executes the same code
+//     path per rpc request, batched or not (responses are byte-identical
+//     to a local run by construction), and
 //   * exp::Campaign's memoized schedule stage sits on the same
 //     ScheduleCache machinery.
 //
@@ -34,7 +34,6 @@
 
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/models/factory.hpp"
-#include "mtsched/sched/cost.hpp"
 #include "mtsched/sched/mapping.hpp"
 #include "mtsched/sched/schedule.hpp"
 #include "mtsched/sched/trace.hpp"
@@ -170,45 +169,6 @@ class Session {
   ScheduleResponse run(const ScheduleRequest& req,
                        RunArtifacts* artifacts = nullptr) const;
 
-  /// Serves a batch of requests, one run() at a time on the calling
-  /// thread (the service's micro-batcher is the caller). Every run()
-  /// through one scope shares a sched::CostCurveTable per resolved
-  /// (platform, model) pair, so the cost model resolves each distinct
-  /// (kernel, matrix_dim) curve once for the whole batch instead of once
-  /// per DAG — the fast path for simulating many DAGs cut from the same
-  /// few task shapes (Table-I-style suites, 100k-task sweeps). Responses
-  /// are bit-identical to serving each request through Session::run():
-  /// the table serves bit-identical values by the SchedCost purity
-  /// contract, and memo cells land in the same schedule cache under the
-  /// same keys. A scope belongs to one thread; create one per batch and
-  /// let it die with the batch (tables reference the session's labs and
-  /// models).
-  class BatchScope {
-   public:
-    explicit BatchScope(const Session& session) : session_(session) {}
-
-    BatchScope(const BatchScope&) = delete;
-    BatchScope& operator=(const BatchScope&) = delete;
-
-    /// Serves one request of the batch (see Session::run).
-    ScheduleResponse run(const ScheduleRequest& req,
-                         RunArtifacts* artifacts = nullptr);
-
-   private:
-    /// One curve table per (platform lab, resolved model) pair seen so
-    /// far; a handful of entries, so identity by linear scan. The
-    /// adapter is heap-held because the table keeps a reference to it.
-    struct TableEntry {
-      const Lab* lab;
-      const models::CostModel* model;
-      std::unique_ptr<models::SchedCostAdapter> adapter;
-      std::unique_ptr<sched::CostCurveTable> table;
-    };
-
-    const Session& session_;
-    std::vector<TableEntry> tables_;
-  };
-
   const Lab& lab() const { return lab_; }
 
   /// Cumulative schedule-memo cache statistics across all requests.
@@ -220,12 +180,6 @@ class Session {
   }
 
  private:
-  /// The pipeline behind run() and BatchScope::run(). `shared_cost`, when
-  /// non-null, replaces the per-request cost adapter (a BatchScope passes
-  /// the batch's curve table; it must wrap the request's resolved model).
-  ScheduleResponse serve(const ScheduleRequest& req, RunArtifacts* artifacts,
-                         const sched::SchedCost* shared_cost) const;
-
   const Lab& lab_;
   /// Registered (name, lab) platforms; linear scan — registries hold a
   /// handful of entries and are read-only while serving.

@@ -1,5 +1,9 @@
 #include "mtsched/exp/rpc.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "mtsched/core/error.hpp"
@@ -37,19 +41,37 @@ double as_number(const obs::json::Value& v, const std::string& key) {
   return v.num;
 }
 
-/// Seeds travel as decimal strings (doubles would round past 2^53).
+/// An integral number within int range; anything else (a fraction, or a
+/// value a cast to int could not represent) is a ParseError.
+int as_int(const obs::json::Value& v, const std::string& key) {
+  const double d = as_number(v, key);
+  if (!(d >= std::numeric_limits<int>::min() &&
+        d <= std::numeric_limits<int>::max()) ||
+      d != std::trunc(d)) {
+    throw core::ParseError(std::string(kWhat) + ": member '" + key +
+                           "' must be an integer in int range");
+  }
+  return static_cast<int>(d);
+}
+
+/// Seeds travel as decimal strings (doubles would round past 2^53): a
+/// non-empty run of ASCII digits that fits in uint64 — no sign, no
+/// whitespace.
 std::uint64_t as_seed(const obs::json::Value& v, const std::string& key) {
   const std::string& text = as_string(v, key);
-  try {
-    std::size_t used = 0;
-    const std::uint64_t seed = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return seed;
-  } catch (const std::exception&) {
+  const bool digits =
+      !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
+  std::uint64_t seed = 0;
+  if (!digits ||
+      std::from_chars(text.data(), text.data() + text.size(), seed).ec !=
+          std::errc{}) {
     throw core::ParseError(std::string(kWhat) + ": member '" + key +
                            "' must be a decimal uint64 string, got \"" +
                            text + "\"");
   }
+  return seed;
 }
 
 obs::json::Value parse_checked(const std::string& payload) {
@@ -180,8 +202,8 @@ ScheduleResponse parse_response(const std::string& payload) {
   }
 
   ScheduleResponse resp;
-  const int status = static_cast<int>(
-      as_number(obs::json::member(doc, "status", kWhat), "status"));
+  const int status =
+      as_int(obs::json::member(doc, "status", kWhat), "status");
   switch (status) {
     case 0: resp.status = ServiceStatus::Ok; break;
     case 400: resp.status = ServiceStatus::BadRequest; break;
@@ -218,8 +240,7 @@ ScheduleResponse parse_response(const std::string& payload) {
   }
   resp.allocation.reserve(alloc.items.size());
   for (const auto& item : alloc.items) {
-    resp.allocation.push_back(
-        static_cast<int>(as_number(item, "allocation[]")));
+    resp.allocation.push_back(as_int(item, "allocation[]"));
   }
   return resp;
 }

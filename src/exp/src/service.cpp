@@ -90,14 +90,13 @@ void Service::drain() {
     batch_size_->observe(static_cast<double>(batch.size()));
   }
 
-  Session::BatchScope scope(session_);
   for (Pending& p : batch) {
     ScheduleResponse resp;
     {
       const obs::ScopedContext ctx(
           p.track, sink_ != nullptr ? sink_->metrics() : nullptr);
       const obs::Span span(p.track, "service", "request");
-      resp = scope.run(p.req);
+      resp = session_.run(p.req);
     }
     if (latency_ != nullptr) {
       latency_->observe(

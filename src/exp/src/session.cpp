@@ -111,44 +111,6 @@ const Lab& Session::resolve_lab(const std::string& platform) const {
 
 ScheduleResponse Session::run(const ScheduleRequest& req,
                               RunArtifacts* artifacts) const {
-  return serve(req, artifacts, nullptr);
-}
-
-ScheduleResponse Session::BatchScope::run(const ScheduleRequest& req,
-                                          RunArtifacts* artifacts) {
-  const sched::SchedCost* shared = nullptr;
-  try {
-    const Lab& lab = session_.resolve_lab(req.platform);
-    const models::CostModel& model = lab.model(req.model);
-    TableEntry* entry = nullptr;
-    for (auto& t : tables_) {
-      if (t.lab == &lab && t.model == &model) {
-        entry = &t;
-        break;
-      }
-    }
-    if (entry == nullptr) {
-      TableEntry e;
-      e.lab = &lab;
-      e.model = &model;
-      e.adapter = std::make_unique<models::SchedCostAdapter>(model);
-      e.table = std::make_unique<sched::CostCurveTable>(*e.adapter,
-                                                        lab.spec().num_nodes);
-      tables_.push_back(std::move(e));
-      entry = &tables_.back();
-    }
-    shared = entry->table.get();
-  } catch (...) {
-    // Resolution failed; serve() re-resolves and reports the error as
-    // this request's response without touching the rest of the batch.
-    shared = nullptr;
-  }
-  return session_.serve(req, artifacts, shared);
-}
-
-ScheduleResponse Session::serve(const ScheduleRequest& req,
-                                RunArtifacts* artifacts,
-                                const sched::SchedCost* shared_cost) const {
   ScheduleResponse resp;
   resp.algorithm = req.algorithm;
   resp.exp_seed = req.exp_seed;
@@ -173,9 +135,7 @@ ScheduleResponse Session::serve(const ScheduleRequest& req,
         key,
         [&]() {
           ScheduleMemo m;
-          const models::SchedCostAdapter local_cost(model);
-          const sched::SchedCost& cost =
-              shared_cost != nullptr ? *shared_cost : local_cost;
+          const models::SchedCostAdapter cost(model);
           const auto sizes = allocator->allocate(g, cost, P);
           m.schedule =
               sched::ListMapper(strategy, lab.spec()).map(g, sizes, cost, P);

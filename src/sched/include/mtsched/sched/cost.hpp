@@ -8,8 +8,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <vector>
 
 #include "mtsched/dag/dag.hpp"
 
@@ -80,61 +78,6 @@ class SchedCost {
       out[i] = redist_time(producer, p_src, static_cast<int>(i) + 1);
     }
   }
-};
-
-/// Shared cost-curve table over a base SchedCost: every distinct
-/// (kernel, matrix_dim) task-time curve, (kernel, matrix_dim, p_src)
-/// redistribution curve and startup/overhead point is resolved against
-/// the base model once and then served from the table, no matter how many
-/// tasks — across how many DAGs — share the shape. This is what makes
-/// batch scheduling (exp::Session::BatchScope) cheap: a Table-I-style
-/// suite has thousands of tasks but only a handful of shapes, so the
-/// second and later DAGs never touch the underlying model.
-///
-/// Correctness rests on the SchedCost shape-purity contract (estimates
-/// may read a task only through kernel + matrix_dim) plus the curve
-/// bit-identity contract, so served values are bit-identical to direct
-/// base-model calls. Not thread-safe: one table per batch-serving thread.
-class CostCurveTable final : public SchedCost {
- public:
-  /// `base` must outlive the table; `P` bounds the processor counts the
-  /// batch will ever query (curves are cached at that length).
-  CostCurveTable(const SchedCost& base, int P);
-
-  double exec_time(const dag::Task& t, int p) const override;
-  double startup_time(int p) const override;
-  double redist_time(const dag::Task& producer, int p_src,
-                     int p_dst) const override;
-  double redist_overhead_time(int p_src, int p_dst) const override;
-  void task_time_curve(const dag::Task& t,
-                       std::span<double> out) const override;
-  void redist_time_curve(const dag::Task& producer, int p_src,
-                         std::span<double> out) const override;
-
-  /// Distinct (kernel, matrix_dim) shapes seen so far.
-  std::size_t num_shapes() const { return shape_of_.size(); }
-  /// Base-model curve resolutions performed (cache misses).
-  std::uint64_t curve_fills() const { return fills_; }
-
- private:
-  std::size_t shape_index(const dag::Task& t) const;
-  std::span<const double> task_row(const dag::Task& t) const;
-  std::span<const double> redist_row(const dag::Task& producer,
-                                     int p_src) const;
-
-  const SchedCost& base_;
-  std::size_t procs_;
-  /// (kernel, dim) packed to a 64-bit key -> dense shape index.
-  mutable std::unordered_map<std::uint64_t, std::size_t> shape_of_;
-  mutable std::vector<std::vector<double>> task_rows_;   ///< per shape, P wide
-  mutable std::vector<std::vector<double>> redist_rows_; ///< shape * P rows
-  mutable std::vector<std::uint8_t> task_filled_;
-  mutable std::vector<std::uint8_t> redist_filled_;
-  mutable std::vector<double> startup_;       ///< per p, lazily filled
-  mutable std::vector<std::uint8_t> startup_filled_;
-  mutable std::vector<double> overhead_;      ///< P * P, lazily filled
-  mutable std::vector<std::uint8_t> overhead_filled_;
-  mutable std::uint64_t fills_ = 0;
 };
 
 }  // namespace mtsched::sched

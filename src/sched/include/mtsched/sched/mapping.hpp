@@ -50,14 +50,12 @@ std::optional<MappingStrategy> parse_mapping(const std::string& name);
 class ListMapper {
  public:
   explicit ListMapper(
-      MappingStrategy strategy = MappingStrategy::EarliestStart,
-      double locality_weight = 1.0);
+      MappingStrategy strategy = MappingStrategy::EarliestStart);
 
   /// Platform-aware mapper: required for MappingStrategy::RackAware (the
   /// rack structure comes from spec.topology; flat specs yield sigma 0
   /// and RedistributionAware behaviour).
-  ListMapper(MappingStrategy strategy, const platform::ClusterSpec& spec,
-             double locality_weight = 1.0);
+  ListMapper(MappingStrategy strategy, const platform::ClusterSpec& spec);
 
   /// Maps `g` with the given per-task allocation sizes onto P processors.
   /// Allocation entries must lie in [1, P]. The returned schedule carries
@@ -77,7 +75,6 @@ class ListMapper {
 
  private:
   MappingStrategy strategy_;
-  double locality_weight_;
   std::vector<int> rack_of_;  ///< per node; empty = single implicit rack
   int num_racks_ = 1;
   double sigma_ = 0.0;

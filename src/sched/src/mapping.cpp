@@ -32,16 +32,11 @@ std::optional<MappingStrategy> parse_mapping(const std::string& name) {
   return std::nullopt;
 }
 
-ListMapper::ListMapper(MappingStrategy strategy, double locality_weight)
-    : strategy_(strategy), locality_weight_(locality_weight) {
-  MTSCHED_REQUIRE(locality_weight >= 0.0,
-                  "locality weight must be non-negative");
-}
+ListMapper::ListMapper(MappingStrategy strategy) : strategy_(strategy) {}
 
 ListMapper::ListMapper(MappingStrategy strategy,
-                       const platform::ClusterSpec& spec,
-                       double locality_weight)
-    : ListMapper(strategy, locality_weight) {
+                       const platform::ClusterSpec& spec)
+    : ListMapper(strategy) {
   if (spec.topology == nullptr) return;
   const platform::Topology& topo = *spec.topology;
   num_racks_ = topo.num_racks();
@@ -303,128 +298,76 @@ Schedule ListMapper::map(const dag::Dag& g, const std::vector<int>& alloc,
       start = start_on(est_set);
     } else {
       // Candidate 2: locality-biased — a processor that holds input data
-      // earns a bonus worth (weighted) redistribution savings; waiting
-      // for it below the producers' finish time is free anyway. The
-      // score is a monotone transform of availability within each class
-      // (holders all get the same bonus, non-holders none), so each
-      // class, filtered out of the availability ranking, is already
-      // ordered by the loc key (score, availability, id): the p_t best
-      // come from a two-stream merge — no per-placement sort or
-      // selection over the cluster. Rack-aware mapping adds a third
-      // class between the two: same-rack non-holders, whose bonus is the
-      // sigma share of a holder's.
-      const double bonus = locality_weight_ * mean_redist;
-      if (!rack_aware) {
-        auto is_holder = [&](int pr) {
-          return use_masks
-                     ? ((holders >> pr) & 1u) != 0
-                     : holds_stamp[static_cast<std::size_t>(pr)] == hold_epoch;
-        };
-        std::size_t cur[2] = {0, 0};   // stream cursors into by_ready
-        int head[2] = {-1, -1};        // next processor per class, -1 = done
-        double head_score[2] = {0.0, 0.0};
-        auto fetch = [&](int cls) {
-          std::size_t& c = cur[cls];
-          while (c < static_cast<std::size_t>(P)) {
-            const int pr = by_ready[c];
-            if (static_cast<int>(is_holder(pr)) == cls) {
-              const double effective = std::max(
-                  proc_ready[static_cast<std::size_t>(pr)], producers_done);
-              head[cls] = pr;
-              head_score[cls] = cls == 1 ? effective - bonus : effective;
-              return;
-            }
-            ++c;
-          }
-          head[cls] = -1;
-        };
-        fetch(0);
-        fetch(1);
-        loc_set.clear();
-        while (static_cast<int>(loc_set.size()) < p_t) {
-          int cls;
-          if (head[0] < 0) {
-            cls = 1;
-          } else if (head[1] < 0) {
-            cls = 0;
-          } else if (head_score[0] != head_score[1]) {
-            cls = head_score[0] < head_score[1] ? 0 : 1;
-          } else {
-            const double r0 = proc_ready[static_cast<std::size_t>(head[0])];
-            const double r1 = proc_ready[static_cast<std::size_t>(head[1])];
-            if (r0 != r1) {
-              cls = r0 < r1 ? 0 : 1;
-            } else {
-              cls = head[0] < head[1] ? 0 : 1;
-            }
-          }
-          loc_set.push_back(head[cls]);
-          ++cur[cls];
-          fetch(cls);
+      // earns a bonus worth the mean redistribution estimate; waiting for
+      // it below the producers' finish time is free anyway. Processors
+      // fall into three classes: 0 = no bonus, 1 = same rack as a holder
+      // (sigma share of the bonus; rack-aware mapping only, otherwise
+      // empty), 2 = holder (full bonus). The score is a monotone
+      // transform of availability within each class, so each class,
+      // filtered out of the availability ranking, is already ordered by
+      // the loc key (score, availability, id): the p_t best come from a
+      // three-stream merge — no per-placement sort or selection over the
+      // cluster.
+      const double bonus_of[3] = {0.0, sigma_ * mean_redist, mean_redist};
+      auto class_of = [&](int pr) -> int {
+        if (use_masks) {
+          if ((holders >> pr) & 1u) return 2;
+          return ((holder_rack_procs >> pr) & 1u) != 0 ? 1 : 0;
         }
-      } else {
-        // Classes: 0 = other rack (no bonus), 1 = same rack as a holder
-        // (sigma * bonus), 2 = holder (full bonus).
-        const double bonus_of[3] = {0.0, sigma_ * bonus, bonus};
-        auto class_of = [&](int pr) -> int {
-          if (use_masks) {
-            if ((holders >> pr) & 1u) return 2;
-            return ((holder_rack_procs >> pr) & 1u) != 0 ? 1 : 0;
-          }
-          if (holds_stamp[static_cast<std::size_t>(pr)] == hold_epoch) {
-            return 2;
-          }
-          return rack_hold_stamp[static_cast<std::size_t>(
-                     rack_of_[static_cast<std::size_t>(pr)])] == hold_epoch
-                     ? 1
-                     : 0;
-        };
-        std::size_t cur[3] = {0, 0, 0};
-        int head[3] = {-1, -1, -1};
-        double head_score[3] = {0.0, 0.0, 0.0};
-        auto fetch = [&](int cls) {
-          std::size_t& c = cur[cls];
-          while (c < static_cast<std::size_t>(P)) {
-            const int pr = by_ready[c];
-            if (class_of(pr) == cls) {
-              const double effective = std::max(
-                  proc_ready[static_cast<std::size_t>(pr)], producers_done);
-              head[cls] = pr;
-              head_score[cls] = effective - bonus_of[cls];
-              return;
-            }
-            ++c;
-          }
-          head[cls] = -1;
-        };
-        fetch(0);
-        fetch(1);
-        fetch(2);
-        loc_set.clear();
-        while (static_cast<int>(loc_set.size()) < p_t) {
-          int best = -1;
-          for (int cls = 0; cls < 3; ++cls) {
-            if (head[cls] < 0) continue;
-            if (best < 0) {
-              best = cls;
-              continue;
-            }
-            if (head_score[cls] != head_score[best]) {
-              if (head_score[cls] < head_score[best]) best = cls;
-              continue;
-            }
-            const double rc = proc_ready[static_cast<std::size_t>(head[cls])];
-            const double rb = proc_ready[static_cast<std::size_t>(head[best])];
-            if (rc != rb) {
-              if (rc < rb) best = cls;
-              continue;
-            }
-            if (head[cls] < head[best]) best = cls;
-          }
-          loc_set.push_back(head[best]);
-          ++cur[best];
-          fetch(best);
+        if (holds_stamp[static_cast<std::size_t>(pr)] == hold_epoch) {
+          return 2;
         }
+        if (!rack_aware) return 0;
+        return rack_hold_stamp[static_cast<std::size_t>(
+                   rack_of_[static_cast<std::size_t>(pr)])] == hold_epoch
+                   ? 1
+                   : 0;
+      };
+      std::size_t cur[3] = {0, 0, 0};  // stream cursors into by_ready
+      int head[3] = {-1, -1, -1};      // next processor per class, -1 = done
+      double head_score[3] = {0.0, 0.0, 0.0};
+      auto fetch = [&](int cls) {
+        std::size_t& c = cur[cls];
+        while (c < static_cast<std::size_t>(P)) {
+          const int pr = by_ready[c];
+          if (class_of(pr) == cls) {
+            const double effective = std::max(
+                proc_ready[static_cast<std::size_t>(pr)], producers_done);
+            head[cls] = pr;
+            head_score[cls] = effective - bonus_of[cls];
+            return;
+          }
+          ++c;
+        }
+        head[cls] = -1;
+      };
+      fetch(0);
+      if (rack_aware) fetch(1);
+      fetch(2);
+      loc_set.clear();
+      while (static_cast<int>(loc_set.size()) < p_t) {
+        int best = -1;
+        for (int cls = 0; cls < 3; ++cls) {
+          if (head[cls] < 0) continue;
+          if (best < 0) {
+            best = cls;
+            continue;
+          }
+          if (head_score[cls] != head_score[best]) {
+            if (head_score[cls] < head_score[best]) best = cls;
+            continue;
+          }
+          const double rc = proc_ready[static_cast<std::size_t>(head[cls])];
+          const double rb = proc_ready[static_cast<std::size_t>(head[best])];
+          if (rc != rb) {
+            if (rc < rb) best = cls;
+            continue;
+          }
+          if (head[cls] < head[best]) best = cls;
+        }
+        loc_set.push_back(head[best]);
+        ++cur[best];
+        fetch(best);
       }
       std::sort(loc_set.begin(), loc_set.end());
       // Keep whichever candidate starts (hence finishes) earlier; ties go

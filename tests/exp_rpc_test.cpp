@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "mtsched/core/error.hpp"
 
@@ -199,6 +200,24 @@ TEST(RpcCodec, BadScheduleFieldsAreRejected) {
     payload.replace(pos, 9, "not-a-num");
     EXPECT_THROW((void)exp::parse_request(payload), core::ParseError);
   }
+  // Seeds are bare ASCII digits that fit in uint64: no sign, no
+  // whitespace, no wrap-around.
+  const auto with_seed = [&](const std::string& seed) {
+    auto payload = exp::encode_request(base);
+    const auto pos = payload.find("\"123456789\"");
+    EXPECT_NE(pos, std::string::npos);
+    payload.replace(pos, 11, "\"" + seed + "\"");
+    return payload;
+  };
+  for (const char* bad : {"-1", " 5", "5 ", "+5", "", "18446744073709551616",
+                          "99999999999999999999999"}) {
+    EXPECT_THROW((void)exp::parse_request(with_seed(bad)), core::ParseError)
+        << "seed \"" << bad << "\"";
+  }
+  EXPECT_EQ(exp::parse_request(with_seed("18446744073709551615"))
+                .schedule.exp_seed,
+            18446744073709551615ull);
+  EXPECT_EQ(exp::parse_request(with_seed("007")).schedule.exp_seed, 7u);
 }
 
 TEST(RpcCodec, BadResponsesAreRejected) {
@@ -208,6 +227,25 @@ TEST(RpcCodec, BadResponsesAreRejected) {
   ASSERT_NE(pos, std::string::npos);
   payload.replace(pos, 10, "\"status\":7");
   EXPECT_THROW((void)exp::parse_response(payload), core::ParseError);
+  // Integral members must be integers in int range: no truncation, no
+  // out-of-range cast.
+  for (const char* bad : {"400.5", "1e300", "-1e300", "4294967296"}) {
+    auto p = exp::encode_response(resp);
+    p.replace(p.find("\"status\":0"), 10, std::string("\"status\":") + bad);
+    EXPECT_THROW((void)exp::parse_response(p), core::ParseError)
+        << "status " << bad;
+  }
+  resp.allocation = {1, 2};
+  const auto alloc_payload = exp::encode_response(resp);
+  for (const char* bad :
+       {"1e300", "-1e300", "2.5", "2147483648", "-2147483649"}) {
+    auto p = alloc_payload;
+    p.replace(p.find("[1,2]"), 5, std::string("[1,") + bad + "]");
+    EXPECT_THROW((void)exp::parse_response(p), core::ParseError)
+        << "allocation " << bad;
+  }
+  EXPECT_EQ(exp::parse_response(alloc_payload).allocation,
+            (std::vector<int>{1, 2}));
   // A request is not a response.
   EXPECT_THROW((void)exp::parse_response(exp::encode_ping()),
                core::ParseError);

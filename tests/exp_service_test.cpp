@@ -223,6 +223,57 @@ TEST(Service, AdmissionControlRejectsBeyondTheQueueLimit) {
   EXPECT_TRUE(service.call(sample_request()).ok());
 }
 
+TEST(Service, BadRequestInADrainDoesNotPoisonItsNeighbours) {
+  exp::ServiceConfig cfg;
+  cfg.threads = 1;
+  exp::Service service(lab(), cfg);
+
+  // Block the single worker in a delivery callback so the next requests
+  // pile up behind it and one drain sweeps them all.
+  std::promise<void> entered;
+  std::promise<void> release;
+  auto release_future = release.get_future().share();
+  ASSERT_TRUE(service.submit(sample_request(),
+                             [&](const exp::ScheduleResponse&) {
+                               entered.set_value();
+                               release_future.wait();
+                             }));
+  entered.get_future().wait();
+
+  std::vector<exp::ScheduleRequest> reqs;
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    exp::ScheduleRequest req;
+    req.dag_text = small_dag_text(seed);
+    req.algorithm = seed % 2 == 0 ? "HCPA" : "MCPA";
+    req.model =
+        models::ModelSpec::parse(seed % 2 == 0 ? "profile" : "analytical");
+    reqs.push_back(std::move(req));
+  }
+  reqs[1].platform = "no-such-platform";
+  reqs[2].dag_text = "not a dag";
+  std::vector<std::promise<exp::ScheduleResponse>> delivered(reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    ASSERT_TRUE(service.submit(reqs[i],
+                               [&delivered, i](const exp::ScheduleResponse& r) {
+                                 delivered[i].set_value(r);
+                               }));
+  }
+  release.set_value();
+  std::vector<exp::ScheduleResponse> out;
+  for (auto& d : delivered) out.push_back(d.get_future().get());
+
+  EXPECT_GE(service.batch_stats().max_batch, 2u);
+  EXPECT_EQ(out[1].status, exp::ServiceStatus::BadRequest);
+  EXPECT_EQ(out[2].status, exp::ServiceStatus::BadRequest);
+  const exp::Session session(lab());
+  for (const std::size_t i : {0u, 3u}) {
+    ASSERT_TRUE(out[i].ok()) << out[i].message;
+    EXPECT_EQ(exp::encode_response(out[i]),
+              exp::encode_response(session.run(reqs[i])))
+        << "request " << i;
+  }
+}
+
 TEST(Service, ReportsMetricsThroughTheSink) {
   obs::MetricsRegistry metrics;
   obs::BasicSink sink(nullptr, &metrics);

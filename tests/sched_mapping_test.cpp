@@ -284,7 +284,6 @@ class VariedCost final : public SchedCost {
 Schedule reference_list_map(const Dag& g, const std::vector<int>& alloc,
                             const SchedCost& cost, int P,
                             MappingStrategy strategy,
-                            double locality_weight = 1.0,
                             const std::vector<int>& rack_of = {},
                             double sigma = 0.0) {
   const bool redist_aware = strategy != MappingStrategy::EarliestStart;
@@ -435,10 +434,10 @@ Schedule reference_list_map(const Dag& g, const std::vector<int>& alloc,
         auto score = [&](int pr) {
           const auto idx = static_cast<std::size_t>(pr);
           const double effective = std::max(proc_ready[idx], producers_done);
-          const double full = locality_weight * mean_redist;
-          const double bonus = holds_input[idx] ? full
-                               : rack_aware && holder_rack[idx] ? sigma * full
-                                                                : 0.0;
+          const double bonus = holds_input[idx] ? mean_redist
+                               : rack_aware && holder_rack[idx]
+                                   ? sigma * mean_redist
+                                   : 0.0;
           return effective - bonus;
         };
         const double sa = score(a);
@@ -550,7 +549,7 @@ TEST_P(MappingEquivalence, RackAwareMatchesNaiveReference) {
     const auto fast = mapper.map(g, alloc, cost, P);
     const auto ref =
         reference_list_map(g, alloc, cost, P, MappingStrategy::RackAware,
-                           1.0, racks, mapper.rack_sigma());
+                           racks, mapper.rack_sigma());
     expect_schedules_identical(fast, ref, "rack_aware");
   }
 }

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 
-#include "mtsched/core/error.hpp"
 #include "mtsched/dag/generator.hpp"
 #include "mtsched/sched/allocation.hpp"
 #include "mtsched/sched/mapping.hpp"
@@ -122,11 +121,12 @@ TEST(RedistAware, NeverWorseEstimateOnChains) {
   }
 }
 
-TEST(RedistAware, LocalityWeightZeroEqualsEstWithoutDataEdges) {
-  // Without data dependencies there is neither a locality bonus nor an
-  // overlap discount, so zero-weight redistribution-aware mapping must
-  // coincide exactly with EST. (With edges the two can diverge: the
-  // overlap discount legitimately shifts downstream timings.)
+TEST(RedistAware, EqualsEstWithoutDataEdges) {
+  // Without data dependencies there is neither a locality bonus (the mean
+  // redistribution estimate is 0) nor an overlap discount, so
+  // redistribution-aware mapping must coincide exactly with EST. (With
+  // edges the two can diverge: the overlap discount legitimately shifts
+  // downstream timings.)
   const RedistHeavyCost cost(20.0, 8.0, 1.0);
   Dag g;
   std::vector<int> alloc;
@@ -136,19 +136,13 @@ TEST(RedistAware, LocalityWeightZeroEqualsEstWithoutDataEdges) {
   }
   const auto est =
       ListMapper(MappingStrategy::EarliestStart).map(g, alloc, cost, 16);
-  const auto aware0 =
-      ListMapper(MappingStrategy::RedistributionAware, 0.0)
-          .map(g, alloc, cost, 16);
+  const auto aware =
+      ListMapper(MappingStrategy::RedistributionAware).map(g, alloc, cost, 16);
   for (dag::TaskId t = 0; t < g.num_tasks(); ++t) {
-    EXPECT_EQ(est.placements[t].procs, aware0.placements[t].procs);
+    EXPECT_EQ(est.placements[t].procs, aware.placements[t].procs);
     EXPECT_DOUBLE_EQ(est.placements[t].est_start,
-                     aware0.placements[t].est_start);
+                     aware.placements[t].est_start);
   }
-}
-
-TEST(RedistAware, NegativeWeightRejected) {
-  EXPECT_THROW(ListMapper(MappingStrategy::RedistributionAware, -1.0),
-               mtsched::core::InvalidArgument);
 }
 
 }  // namespace
