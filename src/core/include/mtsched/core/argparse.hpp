@@ -13,7 +13,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mtsched::core {
@@ -94,6 +96,11 @@ class ArgParser {
   std::vector<std::string> positional_order_;
   bool help_requested_ = false;
 };
+
+/// Strict unsigned decimal: a non-empty run of ASCII digits whose value fits
+/// in uint64. No sign, whitespace or base prefix; nullopt otherwise. Every
+/// unsigned text field (CLI options, campaign CSV, rpc seeds) parses by it.
+std::optional<std::uint64_t> parse_decimal_u64(std::string_view text);
 
 /// Splits a comma-separated list ("2000,3000" -> {"2000","3000"}); empty
 /// segments are dropped, so trailing commas are harmless.

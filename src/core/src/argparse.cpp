@@ -1,6 +1,7 @@
 #include "mtsched/core/argparse.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 
 #include "mtsched/core/error.hpp"
@@ -21,16 +22,9 @@ std::int64_t parse_i64(const std::string& text, const std::string& what) {
 }
 
 std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  try {
-    if (!text.empty() && text[0] == '-') throw std::invalid_argument("sign");
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw InvalidArgument("invalid non-negative integer for " + what +
-                          ": '" + text + "'");
-  }
+  if (const auto v = parse_decimal_u64(text)) return *v;
+  throw InvalidArgument("invalid non-negative integer for " + what + ": '" +
+                        text + "'");
 }
 
 double parse_f64(const std::string& text, const std::string& what) {
@@ -281,6 +275,15 @@ std::vector<int> split_csv_int(const std::string& s, const std::string& what) {
     out.push_back(static_cast<int>(parse_i64(item, what)));
   }
   return out;
+}
+
+std::optional<std::uint64_t> parse_decimal_u64(std::string_view text) {
+  // from_chars takes no whitespace, no '+' and, for unsigned types, no '-'.
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
 }
 
 std::vector<std::uint64_t> split_csv_uint64(const std::string& s,

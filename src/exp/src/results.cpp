@@ -1,7 +1,9 @@
 #include "mtsched/exp/results.hpp"
 
+#include <limits>
 #include <sstream>
 
+#include "mtsched/core/argparse.hpp"
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/table.hpp"
 
@@ -71,15 +73,18 @@ double parse_double_field(const std::string& s, const char* what) {
 }
 
 std::uint64_t parse_u64_field(const std::string& s, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("junk");
-    return v;
-  } catch (const std::exception&) {
-    throw core::ParseError(std::string("campaign CSV: bad ") + what + " '" +
-                           s + "'");
+  if (const auto v = core::parse_decimal_u64(s)) return *v;
+  throw core::ParseError(std::string("campaign CSV: bad ") + what + " '" + s +
+                         "'");
+}
+
+int parse_int_field(const std::string& s, const char* what) {
+  const std::uint64_t v = parse_u64_field(s, what);
+  if (v > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    throw core::ParseError(std::string("campaign CSV: ") + what + " '" + s +
+                           "' is out of range");
   }
+  return static_cast<int>(v);
 }
 
 constexpr const char* kCsvHeader =
@@ -176,14 +181,13 @@ std::vector<RunRecord> parse_campaign_csv(const std::string& csv) {
     RunRecord r;
     r.suite_seed = parse_u64_field(fields[0], "suite_seed");
     r.dag = fields[1];
-    r.matrix_dim = static_cast<int>(parse_u64_field(fields[2], "dim"));
+    r.matrix_dim = parse_int_field(fields[2], "dim");
     r.model = fields[3];
     r.algorithm = fields[4];
     r.exp_seed = parse_u64_field(fields[5], "exp_seed");
     r.run_seed = parse_u64_field(fields[6], "run_seed");
     for (const auto& p : split_line(fields[7], '|')) {
-      r.allocation.push_back(
-          static_cast<int>(parse_u64_field(p, "allocation")));
+      r.allocation.push_back(parse_int_field(p, "allocation"));
     }
     r.makespan_sim = parse_double_field(fields[8], "makespan_sim");
     r.makespan_exp = parse_double_field(fields[9], "makespan_exp");

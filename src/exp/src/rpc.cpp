@@ -1,11 +1,10 @@
 #include "mtsched/exp/rpc.hpp"
 
-#include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <limits>
 #include <sstream>
 
+#include "mtsched/core/argparse.hpp"
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/table.hpp"
 #include "mtsched/obs/json.hpp"
@@ -59,19 +58,10 @@ int as_int(const obs::json::Value& v, const std::string& key) {
 /// whitespace.
 std::uint64_t as_seed(const obs::json::Value& v, const std::string& key) {
   const std::string& text = as_string(v, key);
-  const bool digits =
-      !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
-        return c >= '0' && c <= '9';
-      });
-  std::uint64_t seed = 0;
-  if (!digits ||
-      std::from_chars(text.data(), text.data() + text.size(), seed).ec !=
-          std::errc{}) {
-    throw core::ParseError(std::string(kWhat) + ": member '" + key +
-                           "' must be a decimal uint64 string, got \"" +
-                           text + "\"");
-  }
-  return seed;
+  if (const auto seed = core::parse_decimal_u64(text)) return *seed;
+  throw core::ParseError(std::string(kWhat) + ": member '" + key +
+                         "' must be a decimal uint64 string, got \"" + text +
+                         "\"");
 }
 
 obs::json::Value parse_checked(const std::string& payload) {

@@ -1,20 +1,16 @@
 // The simulator front-end: replays a schedule on the discrete-event engine
 // under a given cost model and reports the simulated makespan and trace.
 //
-// Replay semantics (identical to the execution framework's, minus its
-// real-world overdynamics):
-//   * a task seizes its processors when all tasks preceding it in any of
-//     its processors' orders have finished;
-//   * a redistribution starts when its producer finishes: the model's
-//     protocol overhead (zero for the analytical model) elapses first,
-//     then the payload is transferred through the simulated network as a
-//     communication-only parallel task (contention included);
-//   * a task begins executing when it has its processors and all inbound
-//     redistributions are done; its execution is either a fluid parallel
-//     task (analytical model: flop vector + ring byte matrix) or a fixed
-//     duration (profile/empirical models: measured/regressed time plus
-//     startup overhead);
-//   * the makespan is the completion time of the last task.
+// The replay protocol is sched::DagReplay's (see sched/replay.hpp); the
+// simulator supplies only the costs, all from the cost model:
+//   * startup: the model's startup overhead as a timer (none when zero);
+//   * redistribution: the model's protocol overhead (zero for the
+//     analytical model) elapses, then the payload is transferred;
+//   * execution: a fluid parallel task (analytical model: flop vector +
+//     ring byte matrix) or a fixed duration (profile/empirical models:
+//     measured/regressed time).
+// A redistribution starts as soon as its producer finishes; it does not
+// wait for the consumer's startup.
 //
 // The simulator is deterministic: no randomness exists in any cost model.
 #pragma once

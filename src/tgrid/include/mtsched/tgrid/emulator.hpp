@@ -1,9 +1,10 @@
 // TGrid execution-framework emulator (paper Section III).
 //
 // This module is the reproduction's stand-in for *running the real
-// application on the real cluster*. It replays a schedule with the full
-// TGrid task lifecycle and all the real-world dynamics the paper
-// identifies as missing from analytical simulators:
+// application on the real cluster*. It replays a schedule with the shared
+// replay protocol (sched::DagReplay, see sched/replay.hpp) and the TGrid
+// costs, which carry the real-world dynamics the paper identifies as
+// missing from analytical simulators:
 //
 //   * task startup: spawning a JVM + task container on every allocated
 //     processor via SSH; the processors are seized for the (sampled)
@@ -13,8 +14,6 @@
 //     manager; registrations serialize in FIFO order, so concurrent
 //     redistributions queue (Section V-C c) — an emergent effect no cost
 //     model in mtsched::models knows about;
-//   * real payload transfers through the shared network fabric, with
-//     contention between concurrent redistributions;
 //   * execution times drawn from the ground-truth machine model, including
 //     run-to-run noise and the outliers of Section VII-A.
 //

@@ -208,6 +208,16 @@ TEST(Campaign, CsvParserRejectsMalformedInput) {
       exp::parse_campaign_csv(header +
                               "1,d,2000,m,a,42,43,1|x,1.0,2.0,100\n"),
       core::ParseError);
+  // Unsigned fields are bare digit runs; dim and allocation fit in an int.
+  for (const char* row :
+       {"-1,d,2000,m,a,42,43,1,1.0,2.0,100", "1,d,+5,m,a,42,43,1,1.0,2.0,100",
+        "1,d,2000,m,a, 42,43,1,1.0,2.0,100",
+        "1,d,2147483648,m,a,42,43,1,1.0,2.0,100",
+        "1,d,2000,m,a,42,43,1|4294967297,1.0,2.0,100"}) {
+    EXPECT_THROW(exp::parse_campaign_csv(header + row + "\n"),
+                 core::ParseError)
+        << row;
+  }
 }
 
 TEST(Campaign, SeedSlotZeroReplaysIdenticalWeather) {

@@ -86,6 +86,15 @@ TEST(ArgParser, RejectsMalformedInput) {
     auto args = make_parser();  // positional arguments are not accepted
     EXPECT_THROW(parse(args, {"stray"}), core::InvalidArgument);
   }
+  // Unsigned values are a bare digit run that fits in 64 bits.
+  for (const char* bad : {" -1", "-1", "+5", " 5", "5 ", "", "0x10",
+                          "18446744073709551616"}) {
+    auto args = make_parser();
+    EXPECT_THROW(parse(args, {"--seed", bad}), core::InvalidArgument) << bad;
+  }
+  auto args = make_parser();
+  parse(args, {"--seed", "18446744073709551615"});
+  EXPECT_EQ(args.uint64("seed"), 18446744073709551615u);
 }
 
 TEST(ArgParser, NegativeValuesAreNotMistakenForOptions) {
