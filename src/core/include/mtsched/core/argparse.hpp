@@ -1,9 +1,10 @@
 // Typed command-line argument parsing shared by all mtsched tools.
 //
 // Every option is declared up front with its type, default and help text;
-// parsing then rejects unknown options, missing values and malformed
-// numbers with a descriptive core::InvalidArgument, and `help()` renders a
-// real usage page from the declarations (no more "see tool header").
+// parsing then rejects unknown options, missing values and malformed or
+// out-of-range numbers (read by core::parse_number) with a descriptive
+// core::InvalidArgument, and `help()` renders a real usage page from the
+// declarations (no more "see tool header").
 //
 // Accepted syntax: `--name value`, `--name=value`, and bare `--flag`.
 // Commands that operate on files declare required positional arguments
@@ -13,9 +14,7 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace mtsched::core {
@@ -32,7 +31,7 @@ class ArgParser {
   ArgParser& add_str(const std::string& name, const std::string& dflt,
                      const std::string& help,
                      const std::string& metavar = "STR");
-  ArgParser& add_int(const std::string& name, std::int64_t dflt,
+  ArgParser& add_int(const std::string& name, int dflt,
                      const std::string& help,
                      const std::string& metavar = "N");
   ArgParser& add_uint64(const std::string& name, std::uint64_t dflt,
@@ -65,7 +64,7 @@ class ArgParser {
   // Typed access (throws InvalidArgument if `name` was never declared or
   // the declared type does not match the accessor).
   std::string str(const std::string& name) const;
-  std::int64_t integer(const std::string& name) const;
+  int integer(const std::string& name) const;
   std::uint64_t uint64(const std::string& name) const;
   double number(const std::string& name) const;
   bool flag(const std::string& name) const;
@@ -96,11 +95,6 @@ class ArgParser {
   std::vector<std::string> positional_order_;
   bool help_requested_ = false;
 };
-
-/// Strict unsigned decimal: a non-empty run of ASCII digits whose value fits
-/// in uint64. No sign, whitespace or base prefix; nullopt otherwise. Every
-/// unsigned text field (CLI options, campaign CSV, rpc seeds) parses by it.
-std::optional<std::uint64_t> parse_decimal_u64(std::string_view text);
 
 /// Splits a comma-separated list ("2000,3000" -> {"2000","3000"}); empty
 /// segments are dropped, so trailing commas are harmless.

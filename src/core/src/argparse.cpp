@@ -1,41 +1,26 @@
 #include "mtsched/core/argparse.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <sstream>
+#include <type_traits>
 
 #include "mtsched/core/error.hpp"
+#include "mtsched/core/parse.hpp"
 
 namespace mtsched::core {
 
 namespace {
 
-std::int64_t parse_i64(const std::string& text, const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw InvalidArgument("invalid integer for " + what + ": '" + text + "'");
-  }
-}
-
-std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  if (const auto v = parse_decimal_u64(text)) return *v;
-  throw InvalidArgument("invalid non-negative integer for " + what + ": '" +
-                        text + "'");
-}
-
-double parse_f64(const std::string& text, const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw InvalidArgument("invalid number for " + what + ": '" + text + "'");
-  }
+/// Parses one option value as a T (int, uint64 or double); the error
+/// names the option.
+template <typename T>
+T parse_value(const std::string& text, const std::string& what) {
+  if (const auto v = parse_number<T>(text)) return *v;
+  const char* kind = std::is_same_v<T, int>        ? "integer (int range)"
+                     : std::is_same_v<T, double> ? "finite number"
+                                                 : "non-negative integer";
+  throw InvalidArgument(std::string("invalid ") + kind + " for " + what +
+                        ": '" + text + "'");
 }
 
 }  // namespace
@@ -51,7 +36,7 @@ ArgParser& ArgParser::add_str(const std::string& name, const std::string& dflt,
   return *this;
 }
 
-ArgParser& ArgParser::add_int(const std::string& name, std::int64_t dflt,
+ArgParser& ArgParser::add_int(const std::string& name, int dflt,
                               const std::string& help,
                               const std::string& metavar) {
   options_[name] =
@@ -162,9 +147,9 @@ void ArgParser::parse(int argc, const char* const* argv, int first) {
 
     // Validate eagerly so the error points at the offending option.
     switch (opt.kind) {
-      case Kind::Int: parse_i64(value, "--" + name); break;
-      case Kind::Uint64: parse_u64(value, "--" + name); break;
-      case Kind::Double: parse_f64(value, "--" + name); break;
+      case Kind::Int: parse_value<int>(value, "--" + name); break;
+      case Kind::Uint64: parse_value<std::uint64_t>(value, "--" + name); break;
+      case Kind::Double: parse_value<double>(value, "--" + name); break;
       default: break;
     }
     opt.value = value;
@@ -236,16 +221,19 @@ std::string ArgParser::str(const std::string& name) const {
   return lookup(name, Kind::Str, "str()").value;
 }
 
-std::int64_t ArgParser::integer(const std::string& name) const {
-  return parse_i64(lookup(name, Kind::Int, "integer()").value, "--" + name);
+int ArgParser::integer(const std::string& name) const {
+  return parse_value<int>(lookup(name, Kind::Int, "integer()").value,
+                          "--" + name);
 }
 
 std::uint64_t ArgParser::uint64(const std::string& name) const {
-  return parse_u64(lookup(name, Kind::Uint64, "uint64()").value, "--" + name);
+  return parse_value<std::uint64_t>(
+      lookup(name, Kind::Uint64, "uint64()").value, "--" + name);
 }
 
 double ArgParser::number(const std::string& name) const {
-  return parse_f64(lookup(name, Kind::Double, "number()").value, "--" + name);
+  return parse_value<double>(lookup(name, Kind::Double, "number()").value,
+                             "--" + name);
 }
 
 bool ArgParser::flag(const std::string& name) const {
@@ -272,24 +260,17 @@ std::vector<std::string> split_csv(const std::string& s) {
 std::vector<int> split_csv_int(const std::string& s, const std::string& what) {
   std::vector<int> out;
   for (const auto& item : split_csv(s)) {
-    out.push_back(static_cast<int>(parse_i64(item, what)));
+    out.push_back(parse_value<int>(item, what));
   }
   return out;
-}
-
-std::optional<std::uint64_t> parse_decimal_u64(std::string_view text) {
-  // from_chars takes no whitespace, no '+' and, for unsigned types, no '-'.
-  std::uint64_t v = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
-  return v;
 }
 
 std::vector<std::uint64_t> split_csv_uint64(const std::string& s,
                                             const std::string& what) {
   std::vector<std::uint64_t> out;
-  for (const auto& item : split_csv(s)) out.push_back(parse_u64(item, what));
+  for (const auto& item : split_csv(s)) {
+    out.push_back(parse_value<std::uint64_t>(item, what));
+  }
   return out;
 }
 

@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mtsched/core/units.hpp"
@@ -28,6 +30,9 @@ enum class TaskKernel {
 };
 
 const char* kernel_name(TaskKernel k);
+
+/// The kernel kernel_name() calls `name`; nullopt for any other text.
+std::optional<TaskKernel> parse_kernel(std::string_view name);
 
 /// Number of distinct TaskKernel values (for dense per-kernel tables).
 inline constexpr std::size_t kNumKernels = 2;

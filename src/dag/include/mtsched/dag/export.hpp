@@ -16,8 +16,10 @@ std::string to_dot(const Dag& g, const std::string& graph_name = "dag");
 ///   edge <src> <dst>
 std::string to_text(const Dag& g);
 
-/// Parses the to_text() format back into a Dag. Throws core::ParseError on
-/// malformed input.
+/// Parses the to_text() format back into a Dag: `task <id> <kernel> <n>
+/// [name]` and `edge <src> <dst>` lines, numbers as core::parse_number
+/// reads them. Throws core::ParseError on malformed input, including
+/// surplus fields.
 Dag from_text(const std::string& text);
 
 }  // namespace mtsched::dag

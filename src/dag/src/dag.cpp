@@ -15,6 +15,13 @@ const char* kernel_name(TaskKernel k) {
   return "?";
 }
 
+std::optional<TaskKernel> parse_kernel(std::string_view name) {
+  for (const auto k : {TaskKernel::MatMul, TaskKernel::MatAdd}) {
+    if (name == kernel_name(k)) return k;
+  }
+  return std::nullopt;
+}
+
 double kernel_flops(TaskKernel k, int n) {
   MTSCHED_REQUIRE(n > 0, "matrix dimension must be positive");
   const double nd = static_cast<double>(n);

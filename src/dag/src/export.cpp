@@ -1,8 +1,10 @@
 #include "mtsched/dag/export.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "mtsched/core/error.hpp"
+#include "mtsched/core/parse.hpp"
 
 namespace mtsched::dag {
 
@@ -33,46 +35,41 @@ std::string to_text(const Dag& g) {
 
 Dag from_text(const std::string& text) {
   Dag g;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
+  std::string_view rest = text;
+  for (std::size_t lineno = 1; !rest.empty(); ++lineno) {
+    const std::string_view line = rest.substr(0, rest.find('\n'));
+    rest.remove_prefix(std::min(line.size() + 1, rest.size()));
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
+    const auto f = core::split_ws(line);
+    const std::string_view kind = f.empty() ? std::string_view{} : f[0];
     if (kind == "task") {
-      unsigned id;
-      std::string kernel, name;
-      int n;
-      if (!(ls >> id >> kernel >> n)) {
+      // task <id> <kernel> <n> [name]
+      if (f.size() < 4 || f.size() > 5) {
         throw core::ParseError("malformed task line " + std::to_string(lineno));
       }
-      ls >> name;  // optional
-      TaskKernel k;
-      if (kernel == "matmul") {
-        k = TaskKernel::MatMul;
-      } else if (kernel == "matadd") {
-        k = TaskKernel::MatAdd;
-      } else {
-        throw core::ParseError("unknown kernel '" + kernel + "' on line " +
-                               std::to_string(lineno));
+      const auto id = core::parse_field<TaskId>(f[1], "task id", lineno);
+      const int n = core::parse_field<int>(f[3], "matrix dimension", lineno);
+      const auto k = parse_kernel(f[2]);
+      if (!k) {
+        throw core::ParseError("unknown kernel '" + std::string(f[2]) +
+                               "' on line " + std::to_string(lineno));
       }
-      const TaskId got = g.add_task(k, n, name);
+      const TaskId got = g.add_task(
+          *k, n, f.size() == 5 ? std::string(f[4]) : std::string());
       if (got != id) {
         throw core::ParseError("task ids must be dense and in order (line " +
                                std::to_string(lineno) + ")");
       }
     } else if (kind == "edge") {
-      unsigned s, d;
-      if (!(ls >> s >> d)) {
+      // edge <src> <dst>
+      if (f.size() != 3) {
         throw core::ParseError("malformed edge line " + std::to_string(lineno));
       }
-      g.add_edge(s, d);
+      g.add_edge(core::parse_field<TaskId>(f[1], "edge source", lineno),
+                 core::parse_field<TaskId>(f[2], "edge destination", lineno));
     } else {
-      throw core::ParseError("unknown record '" + kind + "' on line " +
-                             std::to_string(lineno));
+      throw core::ParseError("unknown record '" + std::string(kind) +
+                             "' on line " + std::to_string(lineno));
     }
   }
   g.validate();

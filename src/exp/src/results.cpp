@@ -1,10 +1,9 @@
 #include "mtsched/exp/results.hpp"
 
-#include <limits>
 #include <sstream>
 
-#include "mtsched/core/argparse.hpp"
 #include "mtsched/core/error.hpp"
+#include "mtsched/core/parse.hpp"
 #include "mtsched/core/table.hpp"
 
 namespace mtsched::exp {
@@ -14,6 +13,7 @@ namespace {
 // Shortest round-trip decimals keep the JSON/CSV writers
 // thread-count-independent: equal doubles always render to equal bytes.
 using core::fmt_roundtrip;
+using core::parse_field;
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -58,33 +58,6 @@ std::vector<std::string> split_line(const std::string& line, char sep) {
   // std::getline drops a trailing empty field; the campaign CSV never has
   // empty trailing fields, so this is fine.
   return out;
-}
-
-double parse_double_field(const std::string& s, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("junk");
-    return v;
-  } catch (const std::exception&) {
-    throw core::ParseError(std::string("campaign CSV: bad ") + what + " '" +
-                           s + "'");
-  }
-}
-
-std::uint64_t parse_u64_field(const std::string& s, const char* what) {
-  if (const auto v = core::parse_decimal_u64(s)) return *v;
-  throw core::ParseError(std::string("campaign CSV: bad ") + what + " '" + s +
-                         "'");
-}
-
-int parse_int_field(const std::string& s, const char* what) {
-  const std::uint64_t v = parse_u64_field(s, what);
-  if (v > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-    throw core::ParseError(std::string("campaign CSV: ") + what + " '" + s +
-                           "' is out of range");
-  }
-  return static_cast<int>(v);
 }
 
 constexpr const char* kCsvHeader =
@@ -178,19 +151,26 @@ std::vector<RunRecord> parse_campaign_csv(const std::string& csv) {
                              ": expected 11 fields, got " +
                              std::to_string(fields.size()));
     }
+    // Counts (dim, allocation) are non-negative ints.
+    const auto count = [&](const std::string& f, const char* what) {
+      const int v = parse_field<int>(f, what, lineno);
+      if (v >= 0) return v;
+      throw core::ParseError("negative " + std::string(what) + " '" + f +
+                             "' on line " + std::to_string(lineno));
+    };
     RunRecord r;
-    r.suite_seed = parse_u64_field(fields[0], "suite_seed");
+    r.suite_seed = parse_field<std::uint64_t>(fields[0], "suite_seed", lineno);
     r.dag = fields[1];
-    r.matrix_dim = parse_int_field(fields[2], "dim");
+    r.matrix_dim = count(fields[2], "dim");
     r.model = fields[3];
     r.algorithm = fields[4];
-    r.exp_seed = parse_u64_field(fields[5], "exp_seed");
-    r.run_seed = parse_u64_field(fields[6], "run_seed");
+    r.exp_seed = parse_field<std::uint64_t>(fields[5], "exp_seed", lineno);
+    r.run_seed = parse_field<std::uint64_t>(fields[6], "run_seed", lineno);
     for (const auto& p : split_line(fields[7], '|')) {
-      r.allocation.push_back(parse_int_field(p, "allocation"));
+      r.allocation.push_back(count(p, "allocation"));
     }
-    r.makespan_sim = parse_double_field(fields[8], "makespan_sim");
-    r.makespan_exp = parse_double_field(fields[9], "makespan_exp");
+    r.makespan_sim = parse_field<double>(fields[8], "makespan_sim", lineno);
+    r.makespan_exp = parse_field<double>(fields[9], "makespan_exp", lineno);
     out.push_back(std::move(r));
   }
   return out;

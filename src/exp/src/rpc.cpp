@@ -1,11 +1,9 @@
 #include "mtsched/exp/rpc.hpp"
 
-#include <cmath>
-#include <limits>
 #include <sstream>
 
-#include "mtsched/core/argparse.hpp"
 #include "mtsched/core/error.hpp"
+#include "mtsched/core/parse.hpp"
 #include "mtsched/core/table.hpp"
 #include "mtsched/obs/json.hpp"
 
@@ -40,17 +38,13 @@ double as_number(const obs::json::Value& v, const std::string& key) {
   return v.num;
 }
 
-/// An integral number within int range; anything else (a fraction, or a
-/// value a cast to int could not represent) is a ParseError.
+/// An integer written as integer text in int range: a fraction, an
+/// exponent or a value a cast to int could not represent is a ParseError.
 int as_int(const obs::json::Value& v, const std::string& key) {
-  const double d = as_number(v, key);
-  if (!(d >= std::numeric_limits<int>::min() &&
-        d <= std::numeric_limits<int>::max()) ||
-      d != std::trunc(d)) {
-    throw core::ParseError(std::string(kWhat) + ": member '" + key +
-                           "' must be an integer in int range");
-  }
-  return static_cast<int>(d);
+  (void)as_number(v, key);
+  if (const auto i = core::parse_number<int>(v.text)) return *i;
+  throw core::ParseError(std::string(kWhat) + ": member '" + key +
+                         "' must be an integer in int range");
 }
 
 /// Seeds travel as decimal strings (doubles would round past 2^53): a
@@ -58,7 +52,7 @@ int as_int(const obs::json::Value& v, const std::string& key) {
 /// whitespace.
 std::uint64_t as_seed(const obs::json::Value& v, const std::string& key) {
   const std::string& text = as_string(v, key);
-  if (const auto seed = core::parse_decimal_u64(text)) return *seed;
+  if (const auto seed = core::parse_number<std::uint64_t>(text)) return *seed;
   throw core::ParseError(std::string(kWhat) + ": member '" + key +
                          "' must be a decimal uint64 string, got \"" + text +
                          "\"");

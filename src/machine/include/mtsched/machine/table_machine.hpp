@@ -17,7 +17,9 @@
 //   redist 2 : ...
 //
 // Missing redist rows fall back to the nearest provided p_src row; exec
-// tables must cover every p.
+// tables must cover every p. Numbers read as core::parse_number reads
+// them (`nodes`, `<n>` and `<p_src>` are ints, p_src >= 1), and a line
+// takes no tokens beyond its record.
 #pragma once
 
 #include <map>

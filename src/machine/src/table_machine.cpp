@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "mtsched/core/error.hpp"
+#include "mtsched/core/parse.hpp"
 
 namespace mtsched::machine {
 
@@ -73,15 +74,19 @@ double TableMachineModel::redist_overhead_mean(int p_src, int p_dst) const {
 
 namespace {
 
-std::vector<double> parse_values(std::istringstream& ls, std::size_t lineno) {
-  std::vector<double> values;
-  double v;
-  while (ls >> v) values.push_back(v);
-  if (!ls.eof()) {
-    throw core::ParseError("bad numeric value on line " +
-                           std::to_string(lineno));
+core::ParseError line_error(const std::string& msg, std::size_t lineno) {
+  return core::ParseError(msg + " on line " + std::to_string(lineno));
+}
+
+/// Tokens [first, end) of a line as doubles.
+std::vector<double> values(const std::vector<std::string_view>& f,
+                           std::size_t first, std::string_view what,
+                           std::size_t lineno) {
+  std::vector<double> out;
+  for (std::size_t i = first; i < f.size(); ++i) {
+    out.push_back(core::parse_field<double>(f[i], what, lineno));
   }
-  return values;
+  return out;
 }
 
 }  // namespace
@@ -93,63 +98,44 @@ MachineTables parse_machine_tables(const std::string& text) {
   std::size_t lineno = 0;
   while (std::getline(is, line)) {
     ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string head;
-    if (!(ls >> head)) continue;  // blank
-    if (head == "nodes") {
-      std::string eq;
-      int v;
-      if (!(ls >> eq >> v) || eq != "=") {
-        throw core::ParseError("expected 'nodes = N' on line " +
-                               std::to_string(lineno));
+    const auto f =
+        core::split_ws(std::string_view(line).substr(0, line.find('#')));
+    if (f.empty()) continue;  // blank
+    const std::string head(f[0]);
+    if (head == "nodes" || head == "nominal_flops" || head == "noise_sigma") {
+      if (f.size() != 3 || f[1] != "=") {
+        throw line_error("expected '" + head + " = value'", lineno);
       }
-      t.num_nodes = v;
-    } else if (head == "nominal_flops" || head == "noise_sigma") {
-      std::string eq;
-      double v;
-      if (!(ls >> eq >> v) || eq != "=") {
-        throw core::ParseError("expected '" + head + " = value' on line " +
-                               std::to_string(lineno));
-      }
-      (head == "nominal_flops" ? t.nominal_flops : t.noise_sigma) = v;
-    } else if (head == "exec") {
-      std::string kernel, colon;
-      int n;
-      if (!(ls >> kernel >> n >> colon) || colon != ":") {
-        throw core::ParseError("expected 'exec <kernel> <n> : values' on "
-                               "line " +
-                               std::to_string(lineno));
-      }
-      dag::TaskKernel k;
-      if (kernel == "matmul") {
-        k = dag::TaskKernel::MatMul;
-      } else if (kernel == "matadd") {
-        k = dag::TaskKernel::MatAdd;
+      if (head == "nodes") {
+        t.num_nodes = core::parse_field<int>(f[2], head, lineno);
       } else {
-        throw core::ParseError("unknown kernel '" + kernel + "' on line " +
-                               std::to_string(lineno));
+        (head == "nominal_flops" ? t.nominal_flops : t.noise_sigma) =
+            core::parse_field<double>(f[2], head, lineno);
       }
-      t.exec[{k, n}] = parse_values(ls, lineno);
+    } else if (head == "exec") {
+      if (f.size() < 4 || f[3] != ":") {
+        throw line_error("expected 'exec <kernel> <n> : values'", lineno);
+      }
+      const auto k = dag::parse_kernel(f[1]);
+      if (!k) {
+        throw line_error("unknown kernel '" + std::string(f[1]) + "'", lineno);
+      }
+      t.exec[{*k, core::parse_field<int>(f[2], "exec n", lineno)}] =
+          values(f, 4, "exec time", lineno);
     } else if (head == "startup") {
-      std::string colon;
-      if (!(ls >> colon) || colon != ":") {
-        throw core::ParseError("expected 'startup : values' on line " +
-                               std::to_string(lineno));
+      if (f.size() < 2 || f[1] != ":") {
+        throw line_error("expected 'startup : values'", lineno);
       }
-      t.startup = parse_values(ls, lineno);
+      t.startup = values(f, 2, "startup time", lineno);
     } else if (head == "redist") {
-      std::string colon;
-      int src;
-      if (!(ls >> src >> colon) || colon != ":") {
-        throw core::ParseError("expected 'redist <p_src> : values' on line " +
-                               std::to_string(lineno));
+      if (f.size() < 3 || f[2] != ":") {
+        throw line_error("expected 'redist <p_src> : values'", lineno);
       }
-      t.redist_rows[src - 1] = parse_values(ls, lineno);
+      const int src = core::parse_field<int>(f[1], "redist p_src", lineno);
+      if (src < 1) throw line_error("redist p_src must be >= 1", lineno);
+      t.redist_rows[src - 1] = values(f, 3, "redist overhead", lineno);
     } else {
-      throw core::ParseError("unknown record '" + head + "' on line " +
-                             std::to_string(lineno));
+      throw line_error("unknown record '" + head + "'", lineno);
     }
   }
   return t;

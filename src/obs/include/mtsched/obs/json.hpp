@@ -20,6 +20,7 @@ struct Value {
   Type type = Type::String;
   std::string str;
   double num = 0.0;
+  std::string text;  ///< numbers: the literal as written (integers parse it)
   bool boolean = false;
   std::vector<std::pair<std::string, Value>> members;  ///< objects
   std::vector<Value> items;                            ///< arrays
@@ -34,9 +35,9 @@ struct Value {
 };
 
 /// Parses one JSON document. `what` names the document kind in error
-/// messages ("chrome trace JSON", "bench report JSON"). Throws
-/// core::ParseError on malformed input, trailing characters or nesting
-/// deeper than 64 levels.
+/// messages ("chrome trace JSON", "bench report JSON"). Numbers read as
+/// core::parse_number<double> reads them. Throws core::ParseError on
+/// malformed input, trailing characters or nesting deeper than 64 levels.
 Value parse(const std::string& text, const std::string& what);
 
 /// `member(obj, key)` like find(), but throws core::ParseError when the

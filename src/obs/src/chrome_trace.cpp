@@ -1,9 +1,9 @@
 #include "mtsched/obs/chrome_trace.hpp"
 
-#include <cmath>
 #include <sstream>
 
 #include "mtsched/core/error.hpp"
+#include "mtsched/core/parse.hpp"
 #include "mtsched/core/table.hpp"
 #include "mtsched/obs/json.hpp"
 
@@ -153,15 +153,13 @@ ChromeTrace parse_chrome_json(const std::string& text) {
     // Every track the exporter writes has its own metadata record, so a
     // valid tid is always below the number of records.
     const json::Value& tid_v = json::member(ev, "tid", kWhat);
-    if (tid_v.type != json::Value::Type::Number || !(tid_v.num >= 0.0) ||
-        tid_v.num >= static_cast<double>(events.items.size()) ||
-        tid_v.num != std::floor(tid_v.num)) {
-      throw core::ParseError(std::string(kWhat) + ": bad tid " +
-                             (tid_v.type == json::Value::Type::Number
-                                  ? core::fmt_roundtrip(tid_v.num)
-                                  : "'" + tid_v.str + "'"));
+    const auto tid_or = core::parse_number<int>(tid_v.text);
+    if (!tid_or || *tid_or < 0 ||
+        static_cast<std::size_t>(*tid_or) >= events.items.size()) {
+      throw core::ParseError(std::string(kWhat) + ": bad tid '" +
+                             tid_v.text + tid_v.str + "'");
     }
-    const int tid = static_cast<int>(tid_v.num);
+    const int tid = *tid_or;
     if (ph == "M") {
       const std::string what = json::member(ev, "name", kWhat).str;
       const std::string value =

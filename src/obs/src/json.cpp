@@ -3,6 +3,7 @@
 #include <cctype>
 
 #include "mtsched/core/error.hpp"
+#include "mtsched/core/parse.hpp"
 
 namespace mtsched::obs::json {
 
@@ -148,11 +149,10 @@ class Cursor {
         ++pos_;
       }
       require(pos_ > start, "expected a value");
-      try {
-        v.num = std::stod(text_.substr(start, pos_ - start));
-      } catch (const std::exception&) {
-        require(false, "malformed number");
-      }
+      v.text = text_.substr(start, pos_ - start);
+      const auto num = core::parse_number<double>(v.text);
+      require(num.has_value(), "malformed number");
+      v.num = *num;
     }
     return v;
   }

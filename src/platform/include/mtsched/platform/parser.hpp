@@ -37,8 +37,15 @@ namespace mtsched::platform {
 /// Header line identifying the versioned platform format.
 inline constexpr const char* kPlatformSchema = "mtsched.platform.v1";
 
+/// Most nodes an mtsched.platform.v1 document may declare: the sum over
+/// its [rack] sections of count x max(nodes, node_speeds entries, 1).
+/// parse_topology checks it before expanding a section's count.
+inline constexpr int kMaxPlatformNodes = 1 << 16;
+
 /// Parses an mtsched.platform.v1 document (the header line must be
-/// present). Raises core::ParseError on malformed input.
+/// present). Numbers read as core::parse_number reads them; integer keys
+/// (count, nodes) take no fraction or exponent. Raises core::ParseError on
+/// malformed input or more than kMaxPlatformNodes declared nodes.
 Topology parse_topology(const std::string& text);
 
 /// Serializes a topology to mtsched.platform.v1 (round-trips with

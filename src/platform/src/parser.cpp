@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <sstream>
 
 #include "mtsched/core/error.hpp"
+#include "mtsched/core/parse.hpp"
 
 namespace mtsched::platform {
 
 namespace {
+
+using core::parse_field;
 
 std::string trim(const std::string& s) {
   auto b = s.begin();
@@ -18,18 +22,6 @@ std::string trim(const std::string& s) {
   return std::string(b, e);
 }
 
-double parse_double(const std::string& v, std::size_t lineno) {
-  try {
-    std::size_t pos = 0;
-    const double d = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return d;
-  } catch (const std::exception&) {
-    throw core::ParseError("bad numeric value '" + v + "' on line " +
-                           std::to_string(lineno));
-  }
-}
-
 bool parse_bool(const std::string& v, std::size_t lineno) {
   if (v == "true" || v == "1") return true;
   if (v == "false" || v == "0") return false;
@@ -37,44 +29,9 @@ bool parse_bool(const std::string& v, std::size_t lineno) {
                          std::to_string(lineno));
 }
 
-int parse_int(const std::string& v, std::size_t lineno) {
-  const double d = parse_double(v, lineno);
-  const int i = static_cast<int>(d);
-  if (static_cast<double>(i) != d) {
-    throw core::ParseError("expected integer, got '" + v + "' on line " +
-                           std::to_string(lineno));
-  }
-  return i;
-}
-
-std::vector<double> parse_speeds(const std::string& v, std::size_t lineno) {
-  std::istringstream vs(v);
-  std::string tok;
-  std::vector<double> speeds;
-  while (vs >> tok) speeds.push_back(parse_double(tok, lineno));
-  return speeds;
-}
-
-/// The first line that survives comment stripping and trimming.
-std::string first_significant_line(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trim(line);
-    if (!line.empty()) return line;
-  }
-  return {};
-}
-
 }  // namespace
 
 Topology parse_topology(const std::string& text) {
-  if (first_significant_line(text) != kPlatformSchema) {
-    throw core::ParseError(std::string("missing '") + kPlatformSchema +
-                           "' header line");
-  }
   Topology topo;
   topo.racks.clear();
 
@@ -83,14 +40,25 @@ Topology parse_topology(const std::string& text) {
   RackSpec rack;
   int rack_count = 1;
   bool header_seen = false;
+  std::int64_t declared_nodes = 0;  // count x nodes, summed over racks
+  std::size_t lineno = 0;
   auto flush_rack = [&] {
     if (section != "rack") return;
+    // Bounded before expanding, so a hostile count allocates nothing.
+    const std::int64_t rack_nodes = std::max<std::int64_t>(
+        {rack.nodes, 1, static_cast<std::int64_t>(rack.node_speeds.size())});
+    declared_nodes += rack_count * rack_nodes;
+    if (declared_nodes > kMaxPlatformNodes) {
+      throw core::ParseError("platform declares more than " +
+                             std::to_string(kMaxPlatformNodes) +
+                             " nodes (rack section ending at line " +
+                             std::to_string(lineno) + ")");
+    }
     for (int i = 0; i < rack_count; ++i) topo.racks.push_back(rack);
   };
 
   std::istringstream is(text);
   std::string line;
-  std::size_t lineno = 0;
   while (std::getline(is, line)) {
     ++lineno;
     const auto hash = line.find('#');
@@ -98,7 +66,7 @@ Topology parse_topology(const std::string& text) {
     line = trim(line);
     if (line.empty()) continue;
     if (!header_seen) {
-      // first_significant_line already verified this equals the schema id
+      if (line != kPlatformSchema) break;  // reported below
       header_seen = true;
       continue;
     }
@@ -125,6 +93,8 @@ Topology parse_topology(const std::string& text) {
     }
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
+    const auto real = [&] { return parse_field<double>(value, key, lineno); };
+    const auto integer = [&] { return parse_field<int>(value, key, lineno); };
     if (section.empty()) {
       if (key == "name") {
         topo.name = value;
@@ -134,9 +104,9 @@ Topology parse_topology(const std::string& text) {
       }
     } else if (section == "core") {
       if (key == "bandwidth") {
-        topo.core.bandwidth = parse_double(value, lineno);
+        topo.core.bandwidth = real();
       } else if (key == "latency") {
-        topo.core.latency = parse_double(value, lineno);
+        topo.core.latency = real();
       } else if (key == "shared") {
         topo.core.shared = parse_bool(value, lineno);
       } else {
@@ -145,36 +115,43 @@ Topology parse_topology(const std::string& text) {
       }
     } else {  // rack
       if (key == "count") {
-        rack_count = parse_int(value, lineno);
+        rack_count = integer();
         if (rack_count < 1) {
           throw core::ParseError("rack count must be >= 1 on line " +
                                  std::to_string(lineno));
         }
       } else if (key == "nodes") {
-        rack.nodes = parse_int(value, lineno);
+        rack.nodes = integer();
       } else if (key == "node_flops") {
-        rack.node_flops = parse_double(value, lineno);
+        rack.node_flops = real();
       } else if (key == "link_bandwidth") {
-        rack.link_bandwidth = parse_double(value, lineno);
+        rack.link_bandwidth = real();
       } else if (key == "link_latency") {
-        rack.link_latency = parse_double(value, lineno);
+        rack.link_latency = real();
       } else if (key == "tor_bandwidth") {
-        rack.tor_bandwidth = parse_double(value, lineno);
+        rack.tor_bandwidth = real();
       } else if (key == "tor_latency") {
-        rack.tor_latency = parse_double(value, lineno);
+        rack.tor_latency = real();
       } else if (key == "shared_tor") {
         rack.shared_tor = parse_bool(value, lineno);
       } else if (key == "oversubscription") {
-        rack.oversubscription = parse_double(value, lineno);
+        rack.oversubscription = real();
       } else if (key == "uplink_bandwidth") {
-        rack.uplink_bandwidth = parse_double(value, lineno);
+        rack.uplink_bandwidth = real();
       } else if (key == "node_speeds") {
-        rack.node_speeds = parse_speeds(value, lineno);
+        rack.node_speeds.clear();
+        for (const auto tok : core::split_ws(value)) {
+          rack.node_speeds.push_back(parse_field<double>(tok, key, lineno));
+        }
       } else {
         throw core::ParseError("unknown [rack] key '" + key + "' on line " +
                                std::to_string(lineno));
       }
     }
+  }
+  if (!header_seen) {
+    throw core::ParseError(std::string("missing '") + kPlatformSchema +
+                           "' header line");
   }
   flush_rack();
   topo.validate();

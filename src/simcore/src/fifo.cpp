@@ -1,7 +1,5 @@
 #include "mtsched/simcore/fifo.hpp"
 
-#include <memory>
-
 #include "mtsched/core/error.hpp"
 
 namespace mtsched::simcore {
@@ -24,13 +22,13 @@ void FifoServer::start_next(double now) {
   Job job = std::move(queue_.front());
   queue_.pop_front();
   total_wait_ += now - job.arrival;
-  // Capture by value; `this` outlives the engine run in all our uses.
-  auto done = std::make_shared<CompletionFn>(std::move(job.done));
+  // The timer owns the job's callback; `this` outlives the engine run in
+  // all our uses.
   engine_.submit_timer(
       job.service_time,
-      [this, done](double t) {
+      [this, done = std::move(job.done)](double t) {
         ++served_;
-        if (*done) (*done)(t);
+        if (done) done(t);
         start_next(t);
       },
       name_ + "_job");

@@ -213,7 +213,11 @@ TEST(Campaign, CsvParserRejectsMalformedInput) {
        {"-1,d,2000,m,a,42,43,1,1.0,2.0,100", "1,d,+5,m,a,42,43,1,1.0,2.0,100",
         "1,d,2000,m,a, 42,43,1,1.0,2.0,100",
         "1,d,2147483648,m,a,42,43,1,1.0,2.0,100",
-        "1,d,2000,m,a,42,43,1|4294967297,1.0,2.0,100"}) {
+        "1,d,2000,m,a,42,43,1|4294967297,1.0,2.0,100",
+        // Makespans are finite from_chars text.
+        "1,d,2000,m,a,42,43,1, 1.0,2.0,100", "1,d,2000,m,a,42,43,1,+1.0,2.0,100",
+        "1,d,2000,m,a,42,43,1,nan,2.0,100", "1,d,2000,m,a,42,43,1,1.0,inf,100",
+        "1,d,2000,m,a,42,43,1,0x1p3,2.0,100", "1,d,-5,m,a,42,43,1,1.0,2.0,100"}) {
     EXPECT_THROW(exp::parse_campaign_csv(header + row + "\n"),
                  core::ParseError)
         << row;

@@ -95,6 +95,24 @@ TEST(ArgParser, RejectsMalformedInput) {
   auto args = make_parser();
   parse(args, {"--seed", "18446744073709551615"});
   EXPECT_EQ(args.uint64("seed"), 18446744073709551615u);
+  // Integers take the same grammar and must fit in an int: no silent
+  // wrap of 4294967299 to 3, no leading whitespace or '+'.
+  for (const char* bad : {"4294967299", " +3", "+3", " 5", "5 ", "1e3",
+                          "3.0", "2147483648", "-2147483649", ""}) {
+    auto a = make_parser();
+    try {
+      parse(a, {"--count", bad});
+      ADD_FAILURE() << "accepted --count '" << bad << "'";
+    } catch (const core::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("--count"), std::string::npos);
+    }
+  }
+  // Doubles are finite from_chars text.
+  for (const char* bad : {"+0.5", " 0.5", "0.5 ", "1e", "1e400", "nan",
+                          "inf", "0x1p3", ""}) {
+    auto a = make_parser();
+    EXPECT_THROW(parse(a, {"--ratio", bad}), core::InvalidArgument) << bad;
+  }
 }
 
 TEST(ArgParser, NegativeValuesAreNotMistakenForOptions) {
@@ -185,6 +203,15 @@ TEST(SplitCsv, SplitsAndConverts) {
   EXPECT_EQ(core::split_csv_uint64("42", "--seeds"),
             (std::vector<std::uint64_t>{42}));
   EXPECT_THROW(core::split_csv_int("2000,abc", "--dims"),
+               core::InvalidArgument);
+  // 4294969296 is 2000 + 2^32: out of int range, not dim 2000.
+  try {
+    (void)core::split_csv_int("3000,4294969296", "--dims");
+    ADD_FAILURE() << "accepted an out-of-range dim";
+  } catch (const core::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--dims"), std::string::npos);
+  }
+  EXPECT_THROW(core::split_csv_uint64("1,-1", "--seeds"),
                core::InvalidArgument);
 }
 

@@ -1,6 +1,9 @@
 // Tests for DAG text/DOT export and parsing.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mtsched/core/error.hpp"
 #include "mtsched/dag/export.hpp"
 #include "mtsched/dag/generator.hpp"
@@ -49,6 +52,24 @@ TEST(FromText, RejectsNonDenseIds) {
 TEST(FromText, RejectsMalformedLines) {
   EXPECT_THROW(from_text("task 0 matmul\n"), ParseError);
   EXPECT_THROW(from_text("edge 0\n"), ParseError);
+  // Every number is a whole token: "2000x a" is not dim 2000 named x,
+  // "1junk" is not task 1, and ids and dims take no sign or overflow.
+  const std::string two = "task 0 matmul 100 a\ntask 1 matadd 100 b\n";
+  const std::vector<std::string> bad_inputs = {
+      "task 0 matadd 2000x a\n",      "task 0 matmul +100 a\n",
+      "task 0 matmul 1e3 a\n",        "task 0 matmul 4294967396 a\n",
+      "task -0 matmul 100 a\n",       "task 4294967296 matmul 100 a\n",
+      "task 0 matmul 100 a extra\n",  two + "edge 0 1junk\n",
+      two + "edge 0 4294967297\n",    two + "edge 0 1 2\n",
+      two + "edge +0 1\n"};
+  for (const auto& bad : bad_inputs) {
+    try {
+      (void)from_text(bad);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("line"), std::string::npos);
+    }
+  }
 }
 
 TEST(FromText, RejectsCycles) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mtsched/core/error.hpp"
@@ -246,6 +247,24 @@ TEST(RpcCodec, BadResponsesAreRejected) {
   }
   EXPECT_EQ(exp::parse_response(alloc_payload).allocation,
             (std::vector<int>{1, 2}));
+  // Numbers are whole from_chars tokens: "2-5" is not 2 and "3-1" is not
+  // 3.
+  resp.makespan_sim = 2.0;
+  resp.allocation = {3, 2};
+  const auto good = exp::encode_response(resp);
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"makespan_sim\":2,", "\"makespan_sim\":2-5,"},
+           {"[3,2]", "[3-1,2]"},
+           {"\"makespan_sim\":2,", "\"makespan_sim\":+2,"},
+           {"\"makespan_sim\":2,", "\"makespan_sim\":2e,"},
+           {"\"makespan_sim\":2,", "\"makespan_sim\":2.5.5,"}}) {
+    auto p = good;
+    const auto at = p.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    p.replace(at, from.size(), to);
+    EXPECT_THROW((void)exp::parse_response(p), core::ParseError) << to;
+  }
   // A request is not a response.
   EXPECT_THROW((void)exp::parse_response(exp::encode_ping()),
                core::ParseError);

@@ -1,6 +1,10 @@
 // Tests for the measurement-table machine model and its text format.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "mtsched/core/error.hpp"
 #include "mtsched/exp/lab.hpp"
 #include "mtsched/machine/java_cluster.hpp"
@@ -107,6 +111,33 @@ TEST(TableFormat, RejectsMalformedInput) {
   EXPECT_THROW(parse_machine_tables("exec matmul 10 1 2\n"), ParseError);
   EXPECT_THROW(parse_machine_tables("startup : one two\n"), ParseError);
   EXPECT_THROW(parse_machine_tables("weird : 1\n"), ParseError);
+  // Numbers are whole from_chars tokens in range for their field, and a
+  // record takes no extra tokens; errors name the field and the line.
+  const std::vector<std::pair<std::string, std::string>> bad_inputs = {
+      {"nodes = 32abc\n", "nodes"},
+      {"nodes = +4\n", "nodes"},
+      {"nodes = 1e300\n", "nodes"},
+      {"nodes = 4.0\n", "nodes"},
+      {"nodes = 4294967300\n", "nodes"},
+      {"nodes = 4 5\n", "nodes"},
+      {"nominal_flops = 1e9x\n", "nominal_flops"},
+      {"noise_sigma = nan\n", "noise_sigma"},
+      {"exec matmul 10x : 1\n", "exec n"},
+      {"startup : 1 2x\n", "startup time"},
+      {"startup : 1 inf\n", "startup time"},
+      {"redist 0 : 1\n", "redist p_src"},
+      {"redist -2147483648 : 1\n", "redist p_src"},
+      {"redist 1x : 1\n", "redist p_src"}};
+  for (const auto& [bad, field] : bad_inputs) {
+    try {
+      (void)parse_machine_tables(bad);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const ParseError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(field), std::string::npos) << msg;
+      EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+    }
+  }
 }
 
 TEST(Snapshot, CapturesBuiltInMachine) {

@@ -226,6 +226,13 @@ TEST(ChromeTrace, ParserRejectsMalformedInput) {
         << "event tid " << tid;
   }
   EXPECT_NO_THROW(parse_chrome_json(with_tid(event_head + "0}")));
+  // Numbers are whole from_chars tokens, never a prefix of one.
+  for (const std::string num : {"1-2", "1.5.5", "3e", "+7", "--1", "1e400"}) {
+    EXPECT_THROW(parse_chrome_json("{\"traceEvents\":[],\"x\":[" + num +
+                                   "]}"),
+                 mtsched::core::ParseError)
+        << num;
+  }
 }
 
 TEST(ChromeTrace, ThreeTrackDocumentIsByteStable) {

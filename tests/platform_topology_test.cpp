@@ -214,6 +214,25 @@ TEST(TopologyFormat, ParseErrors) {
   EXPECT_THROW((void)parse_topology(head + "[rack]\nnodes = 2.5\n"),
                ParseError);
   EXPECT_THROW((void)parse_topology(head + "[rack]\ncount = 0\n"), ParseError);
+  // Numbers are whole from_chars tokens; integer keys take no fraction or
+  // exponent, and 1e300 is an error, not an out-of-range cast.
+  for (const std::string bad :
+       {"[rack]\nnodes = 1e300\n", "[rack]\nnodes = 32.0\n",
+        "[rack]\nnodes = 1e1\n", "[rack]\nnodes = 4294967304\n",
+        "[rack]\ncount = 2.0\n", "[rack]\nnode_flops = +1e9\n",
+        "[rack]\nnode_flops = 1e9 x\n", "[rack]\nnode_flops = inf\n",
+        "[rack]\nnode_speeds = 1e9 2e9x\n", "[core]\nlatency = nan\n"}) {
+    try {
+      (void)parse_topology(head + bad);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const ParseError& e) {
+      const std::string key = bad.substr(bad.find('\n') + 1,
+                                         bad.find(" =") - bad.find('\n') - 1);
+      EXPECT_NE(std::string(e.what()).find("bad " + key + " '"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_THROW((void)parse_topology(head + "[core]\nshared = maybe\n"),
                ParseError);
   // Syntactically fine but non-physical: validation still runs.
@@ -221,6 +240,21 @@ TEST(TopologyFormat, ParseErrors) {
                InvalidArgument);
   // No racks at all.
   EXPECT_THROW((void)parse_topology(head + "name = empty\n"), InvalidArgument);
+}
+
+TEST(TopologyFormat, RejectsNodeTotalsAboveTheLimitBeforeExpanding) {
+  const std::string head = "mtsched.platform.v1\n[rack]\n";
+  // A hostile count is refused before any rack is copied.
+  for (const std::string bad :
+       {"count = 1000000000\nnodes = 8\n", "count = 2147483647\nnodes = 0\n",
+        "count = 65537\nnodes = 1\n", "count = 2\nnodes = 40000\n",
+        "count = 30000\nnodes = 1\nnode_speeds = 1 2 3\n",
+        "count = 3\n[rack]\ncount = 65534\n"}) {
+    EXPECT_THROW((void)parse_topology(head + bad), ParseError) << bad;
+  }
+  // Exactly at the limit still parses.
+  const auto topo = parse_topology(head + "count = 256\nnodes = 256\n");
+  EXPECT_EQ(topo.num_nodes(), kMaxPlatformNodes);
 }
 
 TEST(PlatformFormat, ParsesV1AndRejectsTheFlatFormat) {

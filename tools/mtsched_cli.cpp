@@ -193,10 +193,10 @@ int cmd_gen_dag(int argc, char** argv) {
   if (!parse_or_help(args, argc, argv)) return 0;
 
   dag::DagGenParams p;
-  p.num_tasks = static_cast<int>(args.integer("tasks"));
-  p.width = static_cast<int>(args.integer("width"));
+  p.num_tasks = args.integer("tasks");
+  p.width = args.integer("width");
   p.add_ratio = args.number("ratio");
-  p.matrix_dim = static_cast<int>(args.integer("dim"));
+  p.matrix_dim = args.integer("dim");
   p.seed = args.uint64("seed");
   const auto inst = dag::generate_random_dag(p);
   std::cout << (args.flag("dot") ? dag::to_dot(inst.graph, "dag")
@@ -219,13 +219,13 @@ int cmd_gen_daggen(int argc, char** argv) {
   if (!parse_or_help(args, argc, argv)) return 0;
 
   dag::DaggenParams p;
-  p.num_tasks = static_cast<int>(args.integer("tasks"));
+  p.num_tasks = args.integer("tasks");
   p.fat = args.number("fat");
   p.density = args.number("density");
   p.regularity = args.number("regularity");
-  p.jump = static_cast<int>(args.integer("jump"));
+  p.jump = args.integer("jump");
   p.add_ratio = args.number("ratio");
-  p.matrix_dim = static_cast<int>(args.integer("dim"));
+  p.matrix_dim = args.integer("dim");
   p.seed = args.uint64("seed");
   const auto g = dag::generate_daggen(p);
   std::cout << (args.flag("dot") ? dag::to_dot(g, "dag") : dag::to_text(g));
@@ -240,8 +240,7 @@ int cmd_gen_strassen(int argc, char** argv) {
   args.add_flag("dot", "emit Graphviz DOT instead of the text format");
   if (!parse_or_help(args, argc, argv)) return 0;
 
-  const auto g = dag::strassen_dag(static_cast<int>(args.integer("dim")),
-                                   static_cast<int>(args.integer("levels")));
+  const auto g = dag::strassen_dag(args.integer("dim"), args.integer("levels"));
   std::cout << (args.flag("dot") ? dag::to_dot(g, "strassen")
                                  : dag::to_text(g));
   return 0;
@@ -255,8 +254,7 @@ int cmd_gen_lu(int argc, char** argv) {
   args.add_flag("dot", "emit Graphviz DOT instead of the text format");
   if (!parse_or_help(args, argc, argv)) return 0;
 
-  const auto g = dag::block_lu_dag(static_cast<int>(args.integer("blocks")),
-                                   static_cast<int>(args.integer("dim")));
+  const auto g = dag::block_lu_dag(args.integer("blocks"), args.integer("dim"));
   std::cout << (args.flag("dot") ? dag::to_dot(g, "lu") : dag::to_text(g));
   return 0;
 }
@@ -443,6 +441,16 @@ int cmd_run(int argc, char** argv) {
 
 // --- serve / request ----------------------------------------------------
 
+/// --port as a TCP port, checked before anything binds or connects.
+std::uint16_t port_option(const ArgParser& args) {
+  const int port = args.integer("port");
+  if (port < 0 || port > 65535) {
+    throw core::InvalidArgument("--port must be in 0..65535, got " +
+                                std::to_string(port));
+  }
+  return static_cast<std::uint16_t>(port);
+}
+
 int cmd_serve(int argc, char** argv) {
   ArgParser args(
       "mtsched_cli serve",
@@ -466,6 +474,8 @@ int cmd_serve(int argc, char** argv) {
                "LIST");
   if (!parse_or_help(args, argc, argv)) return 0;
 
+  exp::RpcServerConfig server_cfg;
+  server_cfg.port = port_option(args);
   const auto lab = make_machine_lab(args);
   // Every registered platform gets its own fully wired lab; they must
   // outlive the service, so they are declared before it.
@@ -477,14 +487,12 @@ int cmd_serve(int argc, char** argv) {
   obs::BasicSink sink(nullptr, args.flag("metrics") ? &metrics : nullptr);
 
   exp::ServiceConfig cfg;
-  cfg.threads = static_cast<int>(args.integer("threads"));
-  cfg.queue_limit = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, args.integer("queue-limit")));
+  cfg.threads = args.integer("threads");
+  cfg.queue_limit =
+      static_cast<std::size_t>(std::max(1, args.integer("queue-limit")));
   exp::Service service(*lab, cfg, &sink);
   for (const auto& extra : platform_labs) service.add_platform(*extra);
 
-  exp::RpcServerConfig server_cfg;
-  server_cfg.port = static_cast<std::uint16_t>(args.integer("port"));
   exp::RpcServer server(service, server_cfg);
   // One flushed line with the bound port so scripts can scrape it.
   std::cout << "mtsched serve: listening on 127.0.0.1:" << server.port()
@@ -545,12 +553,12 @@ int cmd_request(int argc, char** argv) {
                 "ask the daemon to shut down instead of scheduling");
   if (!parse_or_help(args, argc, argv)) return 0;
 
-  const auto port = args.integer("port");
-  if (port <= 0 || port > 65535) {
+  const std::uint16_t port = port_option(args);
+  if (port == 0) {
     throw core::InvalidArgument(
         "--port is required (the daemon prints its port on startup)");
   }
-  exp::RpcClient client(args.str("host"), static_cast<std::uint16_t>(port));
+  exp::RpcClient client(args.str("host"), port);
   if (args.flag("ping")) {
     const auto resp = client.ping();
     std::cout << resp.message << '\n';
@@ -564,14 +572,13 @@ int cmd_request(int argc, char** argv) {
   auto req = request_from_args(args);
   req.platform = args.str("platform");
   const auto count =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, args.integer("count")));
+      static_cast<std::size_t>(std::max(1, args.integer("count")));
   // The server parks reads on a connection once max_conn_inflight
   // responses are owed; a window beyond that budget would leave this
   // client blocked in send() against a server that has stopped reading.
   const auto window = std::min(
       exp::RpcServerConfig{}.max_conn_inflight,
-      static_cast<std::size_t>(
-          std::max<std::int64_t>(1, args.integer("pipeline"))));
+      static_cast<std::size_t>(std::max(1, args.integer("pipeline"))));
   const std::uint64_t seed0 = args.uint64("exp-seed");
   // Sliding window of pipelined requests: keep up to `window` in flight,
   // print each response as it comes back (the server answers in request
@@ -618,7 +625,7 @@ int cmd_case_study(int argc, char** argv) {
   exp::CampaignSpec spec;  // algorithms default to HCPA vs MCPA
   spec.suites = {exp::SuiteSpec::table1()};
   spec.models = exp::lab_models(*lab, models::all_kinds());
-  spec.dims = {static_cast<int>(args.integer("dim"))};
+  spec.dims = {args.integer("dim")};
   spec.exp_seeds = {args.uint64("exp-seed")};
   const auto result = exp::Campaign(lab->rig()).run(spec);
   for (const auto& model : spec.models) {
@@ -669,7 +676,7 @@ int cmd_campaign(int argc, char** argv) {
   const auto lab = make_lab(args);
   const auto strategy = mapping_from_args(args);
 
-  const auto suite_tasks = static_cast<int>(args.integer("suite-tasks"));
+  const auto suite_tasks = args.integer("suite-tasks");
   if (suite_tasks < 1)
     throw core::InvalidArgument("--suite-tasks must be >= 1");
 
@@ -685,7 +692,7 @@ int cmd_campaign(int argc, char** argv) {
   spec.models = exp::lab_models(*lab, models::parse_kind_list(args.str("models")));
   spec.dims = core::split_csv_int(args.str("dims"), "--dims");
   spec.exp_seeds = core::split_csv_uint64(args.str("exp-seeds"), "--exp-seeds");
-  spec.threads = static_cast<int>(args.integer("threads"));
+  spec.threads = args.integer("threads");
 
   obs::BasicSink::ProgressCallback on_progress;
   if (args.flag("progress")) {
@@ -794,8 +801,7 @@ int cmd_trace_report(int argc, char** argv) {
 
   const auto profile = load_profile(args.str("file"));
   std::cout << obs::render_profile(
-      profile, static_cast<std::size_t>(std::max<std::int64_t>(
-                   0, args.integer("top"))));
+      profile, static_cast<std::size_t>(std::max(0, args.integer("top"))));
   return 0;
 }
 
@@ -826,8 +832,7 @@ int cmd_trace_diff(int argc, char** argv) {
       obs::TraceDiff::between(load_profile(args.str("a")),
                               load_profile(args.str("b")), opt);
   std::cout << obs::render_diff(
-      diff, static_cast<std::size_t>(std::max<std::int64_t>(
-                0, args.integer("top"))));
+      diff, static_cast<std::size_t>(std::max(0, args.integer("top"))));
   return args.flag("gate") && !diff.flagged.empty() ? 1 : 0;
 }
 
