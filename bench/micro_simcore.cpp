@@ -7,6 +7,7 @@
 #include "micro_util.hpp"
 #include "mtsched/core/rng.hpp"
 #include "mtsched/platform/cluster.hpp"
+#include "mtsched/redist/plan.hpp"
 #include "mtsched/simcore/cluster_sim.hpp"
 #include "mtsched/simcore/engine.hpp"
 #include "mtsched/simcore/maxmin.hpp"
@@ -87,6 +88,43 @@ void BM_PtaskStorm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tasks);
 }
 BENCHMARK(BM_PtaskStorm)->Arg(32)->Arg(256)->Arg(1024);
+
+// The replay's per-edge cost: plan a p -> p block redistribution of an
+// n = 2000 matrix and submit it as one parallel task on bayreuth32 (source
+// ranks on nodes 0..p-1, destination ranks shifted by one node so every
+// message crosses the network). The engine is drained outside the timed
+// region every 256 submissions.
+void BM_RedistributionSubmit(benchmark::State& state) {
+  const auto spec = platform::bayreuth32();
+  const int p = static_cast<int>(state.range(0));
+  std::vector<int> src, dst;
+  for (int r = 0; r < p; ++r) {
+    src.push_back(r);
+    dst.push_back((r + 1) % spec.num_nodes);
+  }
+  simcore::Engine e;
+  simcore::ClusterSim cs(e, spec);
+  std::int64_t pending = 0;
+  for (auto _ : state) {
+    auto plan = redist::plan_block_redistribution(2000, p, p);
+    simcore::Ptask t;
+    t.name = "redist";
+    t.host_of_rank = src;
+    t.host_of_rank.insert(t.host_of_rank.end(), dst.begin(), dst.end());
+    t.messages = std::move(plan.messages);
+    for (auto& m : t.messages) m.dst += p;
+    benchmark::DoNotOptimize(cs.submit_ptask(t, nullptr));
+    if (++pending == 256) {
+      state.PauseTiming();
+      e.run();
+      pending = 0;
+      state.ResumeTiming();
+    }
+  }
+  e.run();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RedistributionSubmit)->Arg(4)->Arg(16)->Arg(32);
 
 // Scaling guard for the incremental engine: a large concurrent working
 // set (1000+ activities alive at once) mixing timers with single-resource

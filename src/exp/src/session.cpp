@@ -150,12 +150,9 @@ ScheduleResponse Session::run(const ScheduleRequest& req,
     resp.allocation = memo->schedule.allocation();
     if (artifacts != nullptr) artifacts->schedule = memo->schedule;
     if (req.execute) {
-      if (artifacts != nullptr) {
-        artifacts->exp_trace = lab.rig().run(g, memo->schedule, req.exp_seed);
-        resp.makespan_exp = artifacts->exp_trace.makespan;
-      } else {
-        resp.makespan_exp = lab.rig().makespan(g, memo->schedule, req.exp_seed);
-      }
+      sched::RunTrace trace = lab.rig().run(g, memo->schedule, req.exp_seed);
+      resp.makespan_exp = trace.makespan;
+      if (artifacts != nullptr) artifacts->exp_trace = std::move(trace);
       resp.executed = true;
     }
   } catch (const core::InternalError& e) {

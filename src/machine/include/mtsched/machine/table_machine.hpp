@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "mtsched/core/matrix.hpp"
 #include "mtsched/machine/machine_model.hpp"
 
 namespace mtsched::machine {

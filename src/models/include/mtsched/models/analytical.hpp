@@ -3,8 +3,9 @@
 // Execution: each of the p processors performs flops(kernel, n)/p floating
 // point operations. The 1-D parallel matrix multiplication additionally
 // exchanges one local column block (n^2/p elements) per step for p - 1
-// steps, modelled as a ring communication pattern in the parallel task's
-// byte matrix. Matrix additions perform no communication.
+// steps, modelled as a ring of p messages (rank r to rank r+1 mod p) in the
+// parallel task's communication pattern. Matrix additions perform no
+// communication.
 //
 // No startup overhead and no redistribution protocol overhead exist in
 // this model — precisely the omissions the paper shows to be fatal.

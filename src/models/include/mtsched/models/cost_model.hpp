@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "mtsched/core/matrix.hpp"
+#include "mtsched/core/message.hpp"
 #include "mtsched/dag/dag.hpp"
 #include "mtsched/platform/cluster.hpp"
 #include "mtsched/sched/cost.hpp"
@@ -41,18 +41,16 @@ const char* kind_name(CostModelKind k);
 /// (it overlaps with inbound redistributions, as in TGrid); the execution
 /// phase begins once startup is over and all input data has arrived. The
 /// analytical model fills the resource-driven parts (flops per rank and
-/// bytes per rank pair) and has no startup or fixed part; the refined
+/// the messages between ranks) and has no startup or fixed part; the refined
 /// models charge fixed durations (measured/regressed) and leave the
 /// resource parts empty.
 struct TaskSimCost {
   double startup_seconds = 0.0;  ///< zero under the analytical model
   double fixed_seconds = 0.0;    ///< execution time, when not resource-driven
   std::vector<double> flops_per_rank;
-  core::Matrix<double> bytes_rank_pair;
+  std::vector<core::Message> messages;  ///< rank space, row-major order
 
-  bool is_fixed() const {
-    return flops_per_rank.empty() && bytes_rank_pair.empty();
-  }
+  bool is_fixed() const { return flops_per_rank.empty() && messages.empty(); }
 };
 
 class CostModel {

@@ -26,12 +26,8 @@ TaskSimCost AnalyticalModel::task_sim_cost(const dag::Task& t, int p) const {
   cost.flops_per_rank.assign(static_cast<std::size_t>(p), per_rank);
   const double rb = ring_bytes(t.kernel, t.matrix_dim, p);
   if (rb > 0.0) {
-    cost.bytes_rank_pair = core::Matrix<double>(static_cast<std::size_t>(p),
-                                                static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      cost.bytes_rank_pair(static_cast<std::size_t>(r),
-                           static_cast<std::size_t>((r + 1) % p)) = rb;
-    }
+    cost.messages.reserve(static_cast<std::size_t>(p));
+    for (int r = 0; r < p; ++r) cost.messages.push_back({r, (r + 1) % p, rb});
   }
   return cost;
 }

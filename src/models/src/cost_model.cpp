@@ -15,13 +15,14 @@ CostModel::CostModel(platform::ClusterSpec spec) : spec_(std::move(spec)) {
 double redist_payload_estimate(const platform::ClusterSpec& spec, int n,
                                int p_src, int p_dst) {
   const auto plan = redist::plan_block_redistribution(n, p_src, p_dst);
-  double max_out = 0.0, max_in = 0.0;
-  for (int i = 0; i < p_src; ++i) {
-    max_out = std::max(max_out, plan.bytes.row_total(static_cast<std::size_t>(i)));
+  std::vector<double> out(static_cast<std::size_t>(p_src), 0.0);
+  std::vector<double> in(static_cast<std::size_t>(p_dst), 0.0);
+  for (const auto& m : plan.messages) {
+    out[static_cast<std::size_t>(m.src)] += m.bytes;
+    in[static_cast<std::size_t>(m.dst)] += m.bytes;
   }
-  for (int j = 0; j < p_dst; ++j) {
-    max_in = std::max(max_in, plan.bytes.col_total(static_cast<std::size_t>(j)));
-  }
+  const double max_out = *std::max_element(out.begin(), out.end());
+  const double max_in = *std::max_element(in.begin(), in.end());
   double t = std::max(max_out, max_in) / spec.net.link_bandwidth;
   if (spec.net.shared_backbone) {
     t = std::max(t, plan.total_bytes() / spec.net.backbone_bandwidth);

@@ -1,6 +1,8 @@
 #include "mtsched/obs/json.hpp"
 
 #include <cctype>
+#include <optional>
+#include <string_view>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/parse.hpp"
@@ -13,6 +15,20 @@ namespace {
 /// level, so the bound keeps hostile input from exhausting the stack;
 /// nothing this repo writes nests more than 4 deep.
 constexpr int kMaxDepth = 64;
+
+bool is_digit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+
+/// JSON (RFC 8259 section 6) is stricter than std::from_chars: no leading
+/// zero before a digit ("00", "-01") and digits on both sides of a dot
+/// (not ".5", "5." or "-.5").
+bool json_number_shape(std::string_view t) {
+  const std::size_t i = t.starts_with('-') ? 1 : 0;
+  const std::size_t dot = t.find('.');
+  return i < t.size() && is_digit(t[i]) &&
+         !(t[i] == '0' && i + 1 < t.size() && is_digit(t[i + 1])) &&
+         (dot == std::string_view::npos ||
+          (dot + 1 < t.size() && is_digit(t[dot + 1])));
+}
 
 class Cursor {
  public:
@@ -143,14 +159,16 @@ class Cursor {
       v.type = Value::Type::Number;
       const std::size_t start = pos_;
       while (pos_ < text_.size() &&
-             (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-              text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-              text_[pos_] == 'e' || text_[pos_] == 'E')) {
+             (is_digit(text_[pos_]) || text_[pos_] == '-' ||
+              text_[pos_] == '+' || text_[pos_] == '.' || text_[pos_] == 'e' ||
+              text_[pos_] == 'E')) {
         ++pos_;
       }
       require(pos_ > start, "expected a value");
       v.text = text_.substr(start, pos_ - start);
-      const auto num = core::parse_number<double>(v.text);
+      const auto num = json_number_shape(v.text)
+                           ? core::parse_number<double>(v.text)
+                           : std::nullopt;
       require(num.has_value(), "malformed number");
       v.num = *num;
     }

@@ -4,41 +4,36 @@
 // different processor sets (or the same set with different sizes), the
 // matrix must be redistributed from t's 1-D layout to u's 1-D layout. The
 // messages are fully determined by the overlaps of the two layouts' column
-// intervals; this module computes that byte matrix. TGrid performs exactly
-// these point-to-point transfers; the simulator feeds the same matrix into
-// the parallel-task network model.
+// intervals; this module computes them. TGrid performs exactly these
+// point-to-point transfers; the simulator feeds the same messages into the
+// parallel-task network model.
 #pragma once
 
 #include <vector>
 
-#include "mtsched/core/matrix.hpp"
-#include "mtsched/redist/layout.hpp"
+#include "mtsched/core/message.hpp"
 
 namespace mtsched::redist {
 
-/// Byte matrix of a redistribution: entry (i, j) is the number of bytes
-/// source rank i must send to destination rank j.
+/// The messages of a redistribution: source rank `src` sends `bytes` to
+/// destination rank `dst`. Only non-zero messages are listed, in row-major
+/// (src, dst) order; ranks are logical (0..p_src-1 and 0..p_dst-1).
 struct RedistPlan {
-  core::Matrix<double> bytes;  ///< p_src rows, p_dst columns
+  std::vector<core::Message> messages;
 
-  int p_src() const { return static_cast<int>(bytes.rows()); }
-  int p_dst() const { return static_cast<int>(bytes.cols()); }
+  /// Total payload (the full matrix size when layouts cover it).
+  double total_bytes() const;
 
-  /// Total payload (equals the full matrix size when layouts cover it).
-  double total_bytes() const { return bytes.total(); }
-
-  /// Number of nonzero point-to-point messages.
-  int num_messages() const;
+  /// Number of point-to-point messages.
+  int num_messages() const { return static_cast<int>(messages.size()); }
 };
 
 /// Computes the redistribution plan for an n-by-n matrix moving from a
 /// 1-D column-block layout over p_src processors to one over p_dst
-/// processors. If `same_node(i, j)` pairs map to the same physical node the
-/// caller may zero those entries; the plan itself is purely logical.
+/// processors. Both layouts partition the columns into contiguous blocks,
+/// so one merge walk over the two partitions finds every overlap. If
+/// source and destination ranks share a physical node the transfer is a
+/// local copy; the plan itself is purely logical.
 RedistPlan plan_block_redistribution(int n, int p_src, int p_dst);
-
-/// The overlap in *columns* between source rank i and destination rank j.
-int overlap_columns(const BlockLayout1D& src, const BlockLayout1D& dst, int i,
-                    int j);
 
 }  // namespace mtsched::redist

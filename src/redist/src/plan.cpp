@@ -1,39 +1,34 @@
 #include "mtsched/redist/plan.hpp"
 
-#include "mtsched/core/error.hpp"
 #include "mtsched/core/units.hpp"
+#include "mtsched/redist/layout.hpp"
 
 namespace mtsched::redist {
 
-int RedistPlan::num_messages() const {
-  int count = 0;
-  for (double v : bytes.data())
-    if (v > 0.0) ++count;
-  return count;
-}
-
-int overlap_columns(const BlockLayout1D& src, const BlockLayout1D& dst, int i,
-                    int j) {
-  MTSCHED_REQUIRE(src.n() == dst.n(),
-                  "layouts must describe the same matrix dimension");
-  return interval_overlap(src.columns_of(i), dst.columns_of(j));
+double RedistPlan::total_bytes() const {
+  double total = 0.0;
+  for (const auto& m : messages) total += m.bytes;
+  return total;
 }
 
 RedistPlan plan_block_redistribution(int n, int p_src, int p_dst) {
   const BlockLayout1D src(n, p_src);
   const BlockLayout1D dst(n, p_dst);
   RedistPlan plan;
-  plan.bytes = core::Matrix<double>(static_cast<std::size_t>(p_src),
-                                    static_cast<std::size_t>(p_dst));
+  plan.messages.reserve(static_cast<std::size_t>(p_src + p_dst - 1));
   const double col_bytes = static_cast<double>(n) * core::kElemBytes;
-  for (int i = 0; i < p_src; ++i) {
-    for (int j = 0; j < p_dst; ++j) {
-      const int cols = overlap_columns(src, dst, i, j);
-      if (cols > 0) {
-        plan.bytes(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) =
-            static_cast<double>(cols) * col_bytes;
-      }
-    }
+  // Both layouts cut [0, n) into non-empty contiguous blocks (p <= n). The
+  // block that ends first overlaps no later block of the other layout, so
+  // advancing it visits exactly the overlapping (i, j) pairs. Both indices
+  // only grow, which emits the messages in row-major order.
+  int i = 0, j = 0;
+  while (i < p_src && j < p_dst) {
+    const auto s = src.columns_of(i);
+    const auto d = dst.columns_of(j);
+    plan.messages.push_back(
+        {i, j, static_cast<double>(interval_overlap(s, d)) * col_bytes});
+    if (s.second <= d.second) ++i;
+    if (d.second <= s.second) ++j;
   }
   return plan;
 }

@@ -84,12 +84,19 @@ void DagReplay::transfer(std::size_t e, double when) {
   const auto& edge = g_.edges()[e];
   const auto& src = s_.placement(edge.src).procs;
   const auto& dst = s_.placement(edge.dst).procs;
-  const auto plan = redist::plan_block_redistribution(
-      g_.task(edge.src).matrix_dim, static_cast<int>(src.size()),
-      static_cast<int>(dst.size()));
-  const auto pt = simcore::make_redistribution_ptask(
-      src, dst, plan.bytes,
-      "redist_" + std::to_string(edge.src) + "_" + std::to_string(edge.dst));
+  const int p_src = static_cast<int>(src.size());
+  // Ranks 0..p_src-1 run on the producer's processors, the consumer's
+  // ranks follow them.
+  simcore::Ptask pt;
+  pt.name =
+      "redist_" + std::to_string(edge.src) + "_" + std::to_string(edge.dst);
+  pt.host_of_rank = src;
+  pt.host_of_rank.insert(pt.host_of_rank.end(), dst.begin(), dst.end());
+  pt.messages = redist::plan_block_redistribution(
+                    g_.task(edge.src).matrix_dim, p_src,
+                    static_cast<int>(dst.size()))
+                    .messages;
+  for (core::Message& m : pt.messages) m.dst += p_src;
   cluster_.submit_ptask(pt, [this, e](double done_at) {
     trace_.edges[e].done = done_at;
     const dag::TaskId consumer = g_.edges()[e].dst;

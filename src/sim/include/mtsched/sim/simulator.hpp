@@ -7,7 +7,7 @@
 //   * redistribution: the model's protocol overhead (zero for the
 //     analytical model) elapses, then the payload is transferred;
 //   * execution: a fluid parallel task (analytical model: flop vector +
-//     ring byte matrix) or a fixed duration (profile/empirical models:
+//     ring messages) or a fixed duration (profile/empirical models:
 //     measured/regressed time).
 // A redistribution starts as soon as its producer finishes; it does not
 // wait for the consumer's startup.

@@ -45,7 +45,7 @@ class SimReplay final : public sched::DagReplay {
 
   void execute(dag::TaskId t) override {
     const auto& pl = s_.placement(t);
-    const auto cost = model_.task_sim_cost(g_.task(t), procs(t));
+    auto cost = model_.task_sim_cost(g_.task(t), procs(t));
     auto done = [this, t](double when) { finished(t, when); };
     if (cost.is_fixed()) {
       // Fixed durations were measured/regressed at the reference speed;
@@ -59,8 +59,8 @@ class SimReplay final : public sched::DagReplay {
       simcore::Ptask pt;
       pt.name = g_.task(t).name;
       pt.host_of_rank = pl.procs;
-      pt.flops = cost.flops_per_rank;
-      pt.bytes = cost.bytes_rank_pair;
+      pt.flops = std::move(cost.flops_per_rank);
+      pt.messages = std::move(cost.messages);
       MTSCHED_INVARIANT(cost.fixed_seconds == 0.0,
                         "resource-driven task costs must have no fixed part");
       cluster_.submit_ptask(pt, done);

@@ -17,18 +17,18 @@
 //
 // A parallel task is described exactly as in the paper's Section IV: a
 // computation vector `a` (flops per participating rank) and a communication
-// matrix `B` (bytes exchanged between each pair of ranks). Submitting it
-// creates one fluid activity whose usage weights are the per-resource byte
-// and flop totals and whose work amount is 1 — so computation and
-// communication progress in lockstep and overlap fully, bounded by the
-// bottleneck resource, with the route latency charged once. These are the
-// L07 semantics.
+// matrix `B`, kept as the list of its non-zero messages (core::Message).
+// Submitting it creates one fluid activity whose usage weights are the
+// per-resource byte and flop totals and whose work amount is 1 — so
+// computation and communication progress in lockstep and overlap fully,
+// bounded by the bottleneck resource, with the route latency charged once.
+// These are the L07 semantics.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "mtsched/core/matrix.hpp"
+#include "mtsched/core/message.hpp"
 #include "mtsched/platform/cluster.hpp"
 #include "mtsched/simcore/engine.hpp"
 
@@ -41,21 +41,13 @@ struct Ptask {
   /// Flops to execute per rank; empty means no computation. If non-empty,
   /// size must equal host_of_rank.size().
   std::vector<double> flops;
-  /// bytes(i, j): bytes rank i sends to rank j; empty means no
-  /// communication. If non-empty, must be square with side
-  /// host_of_rank.size(). Transfers between ranks mapped to the same node
-  /// are local copies and use no network resource.
-  core::Matrix<double> bytes;
+  /// Messages between ranks (indices into host_of_rank), in row-major
+  /// (src, dst) order; empty means no communication. Transfers between
+  /// ranks mapped to the same node are local copies and use no network
+  /// resource.
+  std::vector<core::Message> messages;
   std::string name;
 };
-
-/// Redistribution ptasks cross two placements: ranks 0..p_src-1 on the
-/// source nodes followed by p_dst ranks on destination nodes, with a
-/// (p_src x p_dst) byte matrix. Helper to build the square Ptask form.
-Ptask make_redistribution_ptask(const std::vector<int>& src_nodes,
-                                const std::vector<int>& dst_nodes,
-                                const core::Matrix<double>& bytes,
-                                std::string name = {});
 
 class ClusterSim {
  public:
@@ -91,8 +83,8 @@ class ClusterSim {
 
   /// Submits a parallel task; `on_complete` fires when all of its
   /// computation and communication has finished. Returns the activity id.
-  /// Throws core::InvalidArgument on malformed ptasks (bad node ids, size
-  /// mismatches, negative entries).
+  /// Throws core::InvalidArgument on malformed ptasks (bad node ids or
+  /// ranks, size mismatches, negative entries).
   ActivityId submit_ptask(const Ptask& task, CompletionFn on_complete);
 
   /// The duration the ptask would take if it ran alone on the cluster
@@ -100,7 +92,8 @@ class ClusterSim {
   double solo_duration(const Ptask& task) const;
 
  private:
-  /// Aggregates a ptask into usage weights and its latency term.
+  /// Aggregates a ptask into usage weights (sorted by resource id) and its
+  /// latency term.
   std::pair<std::vector<Use>, double> build_uses(const Ptask& task) const;
 
   Engine& engine_;

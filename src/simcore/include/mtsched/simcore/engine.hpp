@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mtsched/obs/metrics.hpp"
@@ -66,7 +67,8 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Redirects trace events to `t` (pass {} to silence them).
+  /// Redirects trace events to `t` (pass {} to silence them). Call it
+  /// before submitting: names are kept only while a trace is live.
   void set_trace(obs::Track t) { trace_ = t; }
 
   /// Registers a resource with the given positive capacity.
@@ -79,13 +81,14 @@ class Engine {
   /// Submits an activity. `uses` lists resource usage weights (all > 0),
   /// `amount` is the work in the same units as the weights' numerators
   /// (the L07 convention: amount = 1, weights = absolute totals), `delay`
-  /// is the latency phase duration. Either may be zero.
+  /// is the latency phase duration. Either may be zero. `name` labels the
+  /// activity's trace events.
   ActivityId submit(std::vector<Use> uses, double amount, double delay,
-                    CompletionFn on_complete, std::string name = {});
+                    CompletionFn on_complete, std::string_view name = {});
 
   /// Convenience: a pure timer firing after `duration` seconds.
   ActivityId submit_timer(double duration, CompletionFn on_complete,
-                          std::string name = {});
+                          std::string_view name = {});
 
   /// Runs until no activity remains. Throws core::InternalError if the
   /// event count exceeds `max_events` (runaway guard).

@@ -37,7 +37,7 @@ class FifoServer {
   void start_next(double now);
 
   Engine& engine_;
-  std::string name_;
+  std::string job_name_;  ///< every job's timer name: "<name>_job"
   std::deque<Job> queue_;
   bool busy_ = false;
   std::uint64_t served_ = 0;

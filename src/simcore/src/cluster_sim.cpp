@@ -1,35 +1,11 @@
 #include "mtsched/simcore/cluster_sim.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/platform/topology.hpp"
 
 namespace mtsched::simcore {
-
-Ptask make_redistribution_ptask(const std::vector<int>& src_nodes,
-                                const std::vector<int>& dst_nodes,
-                                const core::Matrix<double>& bytes,
-                                std::string name) {
-  MTSCHED_REQUIRE(bytes.rows() == src_nodes.size(),
-                  "byte matrix rows must match source node count");
-  MTSCHED_REQUIRE(bytes.cols() == dst_nodes.size(),
-                  "byte matrix cols must match destination node count");
-  Ptask t;
-  t.name = std::move(name);
-  t.host_of_rank = src_nodes;
-  t.host_of_rank.insert(t.host_of_rank.end(), dst_nodes.begin(),
-                        dst_nodes.end());
-  const std::size_t p = t.host_of_rank.size();
-  t.bytes = core::Matrix<double>(p, p);
-  for (std::size_t i = 0; i < src_nodes.size(); ++i) {
-    for (std::size_t j = 0; j < dst_nodes.size(); ++j) {
-      t.bytes(i, src_nodes.size() + j) = bytes(i, j);
-    }
-  }
-  return t;
-}
 
 ClusterSim::ClusterSim(Engine& engine, const platform::ClusterSpec& spec)
     : engine_(engine), spec_(spec) {
@@ -153,59 +129,59 @@ std::pair<std::vector<Use>, double> ClusterSim::build_uses(
   }
   MTSCHED_REQUIRE(task.flops.empty() || task.flops.size() == p,
                   "flops vector size must match rank count");
-  MTSCHED_REQUIRE(task.bytes.empty() ||
-                      (task.bytes.rows() == p && task.bytes.cols() == p),
-                  "byte matrix must be square over the ranks");
 
-  // Accumulate weights per resource; the L07 activity has amount 1 and
-  // weights equal to the absolute flop/byte totals per resource.
-  std::map<ResourceId, double> weight;
-  if (!task.flops.empty()) {
-    for (std::size_t r = 0; r < p; ++r) {
-      MTSCHED_REQUIRE(task.flops[r] >= 0.0, "flops must be >= 0");
-      if (task.flops[r] > 0.0) {
-        weight[cpu(task.host_of_rank[r])] += task.flops[r];
-      }
-    }
+  // The L07 activity has amount 1 and weights equal to the absolute
+  // flop/byte totals per resource. Each total is summed from +0.0 in the
+  // order its terms are charged; every term is > 0, so a resource joins
+  // `uses` on its first charge.
+  std::vector<double> weight(engine_.num_resources(), 0.0);
+  std::vector<Use> uses;
+  const auto charge = [&](ResourceId r, double w) {
+    if (weight[r] == 0.0) uses.push_back(Use{r, 0.0});
+    weight[r] += w;
+  };
+  for (std::size_t r = 0; r < task.flops.size(); ++r) {
+    MTSCHED_REQUIRE(task.flops[r] >= 0.0, "flops must be >= 0");
+    if (task.flops[r] > 0.0) charge(cpu(task.host_of_rank[r]), task.flops[r]);
   }
   bool any_remote_comm = false;
   const bool hier = hierarchical();
   const std::size_t racks = tor_.size();
   double hier_latency = 0.0;
-  if (!task.bytes.empty()) {
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = 0; j < p; ++j) {
-        const double b = task.bytes(i, j);
-        MTSCHED_REQUIRE(b >= 0.0, "bytes must be >= 0");
-        if (b <= 0.0) continue;
-        const int src = task.host_of_rank[i];
-        const int dst = task.host_of_rank[j];
-        if (src == dst) continue;  // local copy, no network usage
-        any_remote_comm = true;
-        weight[uplink(src)] += b;
-        weight[downlink(dst)] += b;
-        if (!hier) {
-          if (spec_.net.shared_backbone) weight[backbone_] += b;
-          continue;
-        }
-        // Charge every link on the route: ToR fabric(s) when shared, and
-        // for cross-rack transfers the uplink, core and downlink.
-        const auto ra = static_cast<std::size_t>(rack_of_[src]);
-        const auto rb = static_cast<std::size_t>(rack_of_[dst]);
-        if (tor_[ra] != static_cast<ResourceId>(-1)) weight[tor_[ra]] += b;
-        if (ra != rb) {
-          weight[torup_[ra]] += b;
-          if (has_core_) weight[core_] += b;
-          weight[tordown_[rb]] += b;
-          if (tor_[rb] != static_cast<ResourceId>(-1)) weight[tor_[rb]] += b;
-        }
-        hier_latency = std::max(hier_latency, rack_lat_[ra * racks + rb]);
-      }
+  for (const core::Message& m : task.messages) {
+    MTSCHED_REQUIRE(m.src >= 0 && static_cast<std::size_t>(m.src) < p &&
+                        m.dst >= 0 && static_cast<std::size_t>(m.dst) < p,
+                    "message rank out of range");
+    MTSCHED_REQUIRE(m.bytes >= 0.0, "bytes must be >= 0");
+    const double b = m.bytes;
+    if (b <= 0.0) continue;
+    const int src = task.host_of_rank[static_cast<std::size_t>(m.src)];
+    const int dst = task.host_of_rank[static_cast<std::size_t>(m.dst)];
+    if (src == dst) continue;  // local copy, no network usage
+    any_remote_comm = true;
+    charge(up_[static_cast<std::size_t>(src)], b);
+    charge(down_[static_cast<std::size_t>(dst)], b);
+    if (!hier) {
+      if (spec_.net.shared_backbone) charge(backbone_, b);
+      continue;
     }
+    // Charge every link on the route: ToR fabric(s) when shared, and for
+    // cross-rack transfers the uplink, core and downlink.
+    const auto ra = static_cast<std::size_t>(rack_of_[src]);
+    const auto rb = static_cast<std::size_t>(rack_of_[dst]);
+    if (tor_[ra] != static_cast<ResourceId>(-1)) charge(tor_[ra], b);
+    if (ra != rb) {
+      charge(torup_[ra], b);
+      if (has_core_) charge(core_, b);
+      charge(tordown_[rb], b);
+      if (tor_[rb] != static_cast<ResourceId>(-1)) charge(tor_[rb], b);
+    }
+    hier_latency = std::max(hier_latency, rack_lat_[ra * racks + rb]);
   }
-  std::vector<Use> uses;
-  uses.reserve(weight.size());
-  for (const auto& [res, w] : weight) uses.push_back(Use{res, w});
+  std::sort(uses.begin(), uses.end(), [](const Use& x, const Use& y) {
+    return x.resource < y.resource;
+  });
+  for (Use& u : uses) u.weight = weight[u.resource];
   // L07 charges the route latency once; with distinct routes we charge the
   // slowest route used — the one the last byte may traverse.
   const double latency =

@@ -56,7 +56,7 @@ const std::string& Engine::resource_name(ResourceId r) const {
 }
 
 ActivityId Engine::submit(std::vector<Use> uses, double amount, double delay,
-                          CompletionFn on_complete, std::string name) {
+                          CompletionFn on_complete, std::string_view name) {
   MTSCHED_REQUIRE(amount >= 0.0, "work amount must be >= 0");
   MTSCHED_REQUIRE(delay >= 0.0, "delay must be >= 0");
   for (const auto& u : uses) {
@@ -78,7 +78,7 @@ ActivityId Engine::submit(std::vector<Use> uses, double amount, double delay,
   }
   const ActivityId id = next_id_++;
   slot_id_[slot] = id;
-  slot_name_[slot] = std::move(name);
+  if (trace_) slot_name_[slot] = name;  // trace_state is its only reader
   slot_cb_[slot] = std::move(on_complete);
   slot_uses_off_[slot] = static_cast<std::uint32_t>(use_res_.size());
   slot_uses_len_[slot] = static_cast<std::uint32_t>(uses.size());
@@ -124,8 +124,8 @@ ActivityId Engine::submit(std::vector<Use> uses, double amount, double delay,
 }
 
 ActivityId Engine::submit_timer(double duration, CompletionFn on_complete,
-                                std::string name) {
-  return submit({}, 0.0, duration, std::move(on_complete), std::move(name));
+                                std::string_view name) {
+  return submit({}, 0.0, duration, std::move(on_complete), name);
 }
 
 void Engine::compact_delay() {

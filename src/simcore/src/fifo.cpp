@@ -5,7 +5,7 @@
 namespace mtsched::simcore {
 
 FifoServer::FifoServer(Engine& engine, std::string name)
-    : engine_(engine), name_(std::move(name)) {}
+    : engine_(engine), job_name_(std::move(name) + "_job") {}
 
 void FifoServer::enqueue(double service_time, CompletionFn done) {
   MTSCHED_REQUIRE(service_time >= 0.0, "service time must be >= 0");
@@ -31,7 +31,7 @@ void FifoServer::start_next(double now) {
         if (done) done(t);
         start_next(t);
       },
-      name_ + "_job");
+      job_name_);
 }
 
 }  // namespace mtsched::simcore

@@ -169,16 +169,19 @@ TEST(ErrorMacros, MessageContainsContext) {
 TEST(Matrix, BasicAccessAndTotals) {
   Matrix<double> m(2, 3, 1.0);
   m(0, 1) = 5.0;
-  EXPECT_DOUBLE_EQ(m.total(), 10.0);
-  EXPECT_DOUBLE_EQ(m.row_total(0), 7.0);
+  EXPECT_EQ(m.rows(), 2u);
+  EXPECT_EQ(m.cols(), 3u);
+  EXPECT_DOUBLE_EQ(m(0, 1), 5.0);
+  EXPECT_DOUBLE_EQ(m(1, 2), 1.0);
   EXPECT_DOUBLE_EQ(m.col_total(1), 6.0);
+  EXPECT_DOUBLE_EQ(m.col_total(0), 2.0);
 }
 
 TEST(Matrix, OutOfRangeThrows) {
   Matrix<double> m(2, 2);
   EXPECT_THROW(m(2, 0), InvalidArgument);
   EXPECT_THROW(m(0, 2), InvalidArgument);
-  EXPECT_THROW(m.row_total(5), InvalidArgument);
+  EXPECT_THROW(m.col_total(5), InvalidArgument);
 }
 
 TEST(Matrix, EqualityAndEmpty) {

@@ -258,7 +258,13 @@ TEST(RpcCodec, BadResponsesAreRejected) {
            {"[3,2]", "[3-1,2]"},
            {"\"makespan_sim\":2,", "\"makespan_sim\":+2,"},
            {"\"makespan_sim\":2,", "\"makespan_sim\":2e,"},
-           {"\"makespan_sim\":2,", "\"makespan_sim\":2.5.5,"}}) {
+           {"\"makespan_sim\":2,", "\"makespan_sim\":2.5.5,"},
+           // JSON forbids leading zeros and a bare or trailing dot.
+           {"\"makespan_sim\":2,", "\"makespan_sim\":02,"},
+           {"[3,2]", "[00,2]"},
+           {"\"makespan_sim\":2,", "\"makespan_sim\":.5,"},
+           {"\"makespan_sim\":2,", "\"makespan_sim\":2.,"},
+           {"\"makespan_sim\":2,", "\"makespan_sim\":-.5,"}}) {
     auto p = good;
     const auto at = p.find(from);
     ASSERT_NE(at, std::string::npos) << from;

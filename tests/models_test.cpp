@@ -46,18 +46,22 @@ TEST(Analytical, FlopsDividedEvenly) {
 TEST(Analytical, RingCommunicationPattern) {
   const AnalyticalModel m(mtsched::platform::bayreuth32());
   const auto cost = m.task_sim_cost(mm_task(), 3);
-  ASSERT_EQ(cost.bytes_rank_pair.rows(), 3u);
   const double expected = 2.0 * (2000.0 * 2000.0 / 3.0) * 8.0;  // (p-1)n^2/p*8
-  EXPECT_DOUBLE_EQ(cost.bytes_rank_pair(0, 1), expected);
-  EXPECT_DOUBLE_EQ(cost.bytes_rank_pair(1, 2), expected);
-  EXPECT_DOUBLE_EQ(cost.bytes_rank_pair(2, 0), expected);
-  EXPECT_DOUBLE_EQ(cost.bytes_rank_pair(0, 2), 0.0);
+  ASSERT_EQ(cost.messages.size(), 3u);
+  // Rank r sends to rank r+1 mod p, listed in row-major order.
+  const int dst[] = {1, 2, 0};
+  for (int r = 0; r < 3; ++r) {
+    const auto& msg = cost.messages[static_cast<std::size_t>(r)];
+    EXPECT_EQ(msg.src, r);
+    EXPECT_EQ(msg.dst, dst[r]);
+    EXPECT_DOUBLE_EQ(msg.bytes, expected);
+  }
 }
 
 TEST(Analytical, AdditionHasNoCommunication) {
   const AnalyticalModel m(mtsched::platform::bayreuth32());
   const auto cost = m.task_sim_cost(add_task(), 8);
-  EXPECT_TRUE(cost.bytes_rank_pair.empty());
+  EXPECT_TRUE(cost.messages.empty());
 }
 
 TEST(Analytical, SequentialTaskHasNoCommunication) {

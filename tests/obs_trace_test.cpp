@@ -226,11 +226,27 @@ TEST(ChromeTrace, ParserRejectsMalformedInput) {
         << "event tid " << tid;
   }
   EXPECT_NO_THROW(parse_chrome_json(with_tid(event_head + "0}")));
-  // Numbers are whole from_chars tokens, never a prefix of one.
-  for (const std::string num : {"1-2", "1.5.5", "3e", "+7", "--1", "1e400"}) {
+  // JSON forbids leading zeros and a bare or trailing dot.
+  EXPECT_THROW(parse_chrome_json(with_tid(meta_head + "00}")),
+               mtsched::core::ParseError);
+  EXPECT_THROW(parse_chrome_json(
+                   "{\"traceEvents\":[{\"ph\":\"i\",\"pid\":0,\"ts\":.5,"
+                   "\"cat\":\"c\",\"name\":\"e\",\"tid\":0}]}"),
+               mtsched::core::ParseError);
+  // Numbers are whole from_chars tokens, never a prefix of one, and follow
+  // the JSON number grammar.
+  for (const std::string num : {"1-2", "1.5.5", "3e", "+7", "--1", "1e400",
+                                "00", "01", "-01", ".5", "5.", "-.5", "5.e3",
+                                "1e", "1e+", "-"}) {
     EXPECT_THROW(parse_chrome_json("{\"traceEvents\":[],\"x\":[" + num +
                                    "]}"),
                  mtsched::core::ParseError)
+        << num;
+  }
+  for (const std::string num : {"0", "-0", "0.5", "-0.5", "10", "1e5", "1E+5",
+                                "-1.5e-3", "0e0"}) {
+    EXPECT_NO_THROW(parse_chrome_json("{\"traceEvents\":[],\"x\":[" + num +
+                                      "]}"))
         << num;
   }
 }

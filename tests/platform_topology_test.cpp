@@ -350,8 +350,7 @@ TEST(TopologySim, OneRackSimulationIsBitIdenticalToStar) {
     compute.flops = {200.0, 100.0};
     mtsched::simcore::Ptask transfer;
     transfer.host_of_rank = {1, 2};
-    transfer.bytes = mtsched::core::Matrix<double>(2, 2);
-    transfer.bytes(0, 1) = 30.0;
+    transfer.messages = {{0, 1, 30.0}};
     cs.submit_ptask(compute, [&](double when) { done.push_back(when); });
     cs.submit_ptask(transfer, [&](double when) { done.push_back(when); });
     e.run();
@@ -371,8 +370,7 @@ TEST(TopologySim, CrossRackTransfersPayTheOversubscribedUplink) {
 
   mtsched::simcore::Ptask intra;
   intra.host_of_rank = {0, 1};
-  intra.bytes = mtsched::core::Matrix<double>(2, 2);
-  intra.bytes(0, 1) = 30.0;
+  intra.messages = {{0, 1, 30.0}};
   mtsched::simcore::Ptask cross = intra;
   cross.host_of_rank = {0, 2};
 

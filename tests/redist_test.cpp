@@ -3,15 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/units.hpp"
+#include "mtsched/redist/layout.hpp"
 #include "mtsched/redist/plan.hpp"
 
 namespace {
 
 using namespace mtsched::redist;
 using mtsched::core::InvalidArgument;
+using mtsched::core::Message;
 
 TEST(BlockLayout, EvenDivision) {
   BlockLayout1D l(100, 4);
@@ -62,29 +65,32 @@ TEST(IntervalOverlap, Cases) {
 
 TEST(Plan, IdentityRedistributionIsDiagonal) {
   const auto plan = plan_block_redistribution(100, 4, 4);
+  ASSERT_EQ(plan.num_messages(), 4);
   for (int i = 0; i < 4; ++i) {
-    for (int j = 0; j < 4; ++j) {
-      if (i == j) {
-        EXPECT_GT(plan.bytes(i, j), 0.0);
-      } else {
-        EXPECT_DOUBLE_EQ(plan.bytes(i, j), 0.0);
-      }
-    }
+    const Message& m = plan.messages[static_cast<std::size_t>(i)];
+    EXPECT_EQ(m.src, i);
+    EXPECT_EQ(m.dst, i);
+    EXPECT_GT(m.bytes, 0.0);
   }
-  EXPECT_EQ(plan.num_messages(), 4);
 }
 
 TEST(Plan, OneToMany) {
   const auto plan = plan_block_redistribution(100, 1, 4);
-  EXPECT_EQ(plan.p_src(), 1);
-  EXPECT_EQ(plan.p_dst(), 4);
-  EXPECT_EQ(plan.num_messages(), 4);
+  ASSERT_EQ(plan.num_messages(), 4);
+  for (int j = 0; j < 4; ++j) {
+    EXPECT_EQ(plan.messages[static_cast<std::size_t>(j)].src, 0);
+    EXPECT_EQ(plan.messages[static_cast<std::size_t>(j)].dst, j);
+  }
   EXPECT_DOUBLE_EQ(plan.total_bytes(), mtsched::core::matrix_bytes(100));
 }
 
 TEST(Plan, ManyToOne) {
   const auto plan = plan_block_redistribution(100, 4, 1);
-  EXPECT_EQ(plan.num_messages(), 4);
+  ASSERT_EQ(plan.num_messages(), 4);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(plan.messages[static_cast<std::size_t>(i)].src, i);
+    EXPECT_EQ(plan.messages[static_cast<std::size_t>(i)].dst, 0);
+  }
   EXPECT_DOUBLE_EQ(plan.total_bytes(), mtsched::core::matrix_bytes(100));
 }
 
@@ -92,22 +98,24 @@ TEST(Plan, RowAndColumnTotalsMatchLayouts) {
   const int n = 2000, ps = 5, pd = 8;
   const auto plan = plan_block_redistribution(n, ps, pd);
   const BlockLayout1D src(n, ps), dst(n, pd);
+  std::vector<double> out(ps, 0.0), in(pd, 0.0);
+  for (const Message& m : plan.messages) {
+    out[static_cast<std::size_t>(m.src)] += m.bytes;
+    in[static_cast<std::size_t>(m.dst)] += m.bytes;
+  }
   for (int i = 0; i < ps; ++i) {
-    EXPECT_DOUBLE_EQ(plan.bytes.row_total(i), src.bytes_of(i));
+    EXPECT_DOUBLE_EQ(out[static_cast<std::size_t>(i)], src.bytes_of(i));
   }
   for (int j = 0; j < pd; ++j) {
-    EXPECT_DOUBLE_EQ(plan.bytes.col_total(j), dst.bytes_of(j));
+    EXPECT_DOUBLE_EQ(in[static_cast<std::size_t>(j)], dst.bytes_of(j));
   }
-}
-
-TEST(OverlapColumns, RequiresSameDimension) {
-  BlockLayout1D a(100, 2), b(200, 2);
-  EXPECT_THROW(overlap_columns(a, b, 0, 0), InvalidArgument);
 }
 
 /// Property sweep over (n, p_src, p_dst): every plan conserves the matrix
-/// (total bytes equals the full n-by-n payload) and each message count is
-/// bounded by p_src + p_dst - 1 (contiguous interval overlap structure).
+/// (total bytes equals the full n-by-n payload), each message count is
+/// bounded by p_src + p_dst - 1 (contiguous interval overlap structure),
+/// and the messages are exactly the non-zero overlaps of all (i, j) pairs
+/// in row-major order.
 class PlanConservation
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -117,6 +125,21 @@ TEST_P(PlanConservation, ConservesAndBoundsMessages) {
   EXPECT_NEAR(plan.total_bytes(), mtsched::core::matrix_bytes(n), 1e-6);
   EXPECT_LE(plan.num_messages(), ps + pd - 1);
   EXPECT_GE(plan.num_messages(), std::max(ps, pd));
+
+  const BlockLayout1D src(n, ps), dst(n, pd);
+  std::vector<Message> probed;
+  for (int i = 0; i < ps; ++i) {
+    for (int j = 0; j < pd; ++j) {
+      const int cols = interval_overlap(src.columns_of(i), dst.columns_of(j));
+      if (cols > 0) {
+        probed.push_back({i, j,
+                          static_cast<double>(cols) *
+                              (static_cast<double>(n) *
+                               mtsched::core::kElemBytes)});
+      }
+    }
+  }
+  EXPECT_EQ(plan.messages, probed);
 }
 
 INSTANTIATE_TEST_SUITE_P(

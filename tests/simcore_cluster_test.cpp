@@ -9,7 +9,6 @@ namespace {
 
 using namespace mtsched::simcore;
 using mtsched::core::InvalidArgument;
-using mtsched::core::Matrix;
 
 mtsched::platform::ClusterSpec tiny() {
   mtsched::platform::ClusterSpec c;
@@ -62,8 +61,7 @@ TEST(Ptask, CommOnlyIncludesLatencyOnce) {
   ClusterSim cs(e, tiny());
   Ptask t;
   t.host_of_rank = {0, 1};
-  t.bytes = Matrix<double>(2, 2);
-  t.bytes(0, 1) = 30.0;  // 30 B over 10 B/s links -> 3 s + 1 s latency
+  t.messages = {{0, 1, 30.0}};  // 30 B over 10 B/s links -> 3 s + 1 s latency
   EXPECT_DOUBLE_EQ(cs.solo_duration(t), 4.0);
   double done = -1.0;
   cs.submit_ptask(t, [&](double when) { done = when; });
@@ -78,8 +76,7 @@ TEST(Ptask, ComputationAndCommunicationOverlap) {
   Ptask t;
   t.host_of_rank = {0, 1};
   t.flops = {500.0, 0.0};  // 5 s of compute on node 0
-  t.bytes = Matrix<double>(2, 2);
-  t.bytes(0, 1) = 20.0;  // 2 s of transfer
+  t.messages = {{0, 1, 20.0}};  // 2 s of transfer
   EXPECT_DOUBLE_EQ(cs.solo_duration(t), 5.0 + 1.0);  // compute + latency
 }
 
@@ -88,8 +85,7 @@ TEST(Ptask, LocalCopiesUseNoNetwork) {
   ClusterSim cs(e, tiny());
   Ptask t;
   t.host_of_rank = {2, 2};  // both ranks on node 2
-  t.bytes = Matrix<double>(2, 2);
-  t.bytes(0, 1) = 1e9;  // huge, but local
+  t.messages = {{0, 1, 1e9}};  // huge, but local
   EXPECT_DOUBLE_EQ(cs.solo_duration(t), 0.0);
 }
 
@@ -102,8 +98,7 @@ TEST(Ptask, BackboneLimitsAggregateTraffic) {
   for (int i = 0; i < 2; ++i) {
     Ptask t;
     t.host_of_rank = {i * 2, i * 2 + 1};
-    t.bytes = Matrix<double>(2, 2);
-    t.bytes(0, 1) = 30.0;
+    t.messages = {{0, 1, 30.0}};
     cs.submit_ptask(t, [&](double when) { done.push_back(when); });
   }
   e.run();
@@ -121,8 +116,7 @@ TEST(Ptask, LinkContentionBetweenTransfersFromOneNode) {
   for (int dst : {1, 2}) {
     Ptask t;
     t.host_of_rank = {0, dst};
-    t.bytes = Matrix<double>(2, 2);
-    t.bytes(0, 1) = 20.0;
+    t.messages = {{0, 1, 20.0}};
     cs.submit_ptask(t, [&](double when) { done.push_back(when); });
   }
   e.run();
@@ -130,6 +124,17 @@ TEST(Ptask, LinkContentionBetweenTransfersFromOneNode) {
   // 40 B through the shared 10 B/s uplink -> 4 s + 1 s latency.
   EXPECT_DOUBLE_EQ(done[0], 5.0);
   EXPECT_DOUBLE_EQ(done[1], 5.0);
+}
+
+TEST(Ptask, MessagesFromOneRankSumOnItsUplink) {
+  Engine e;
+  ClusterSim cs(e, tiny());
+  Ptask t;
+  t.host_of_rank = {0, 1, 2};
+  t.messages = {{0, 1, 20.0}, {0, 2, 20.0}};
+  // 40 B leave node 0 through its 10 B/s uplink (the 15 B/s backbone is
+  // not the bottleneck) -> 4 s + 1 s latency.
+  EXPECT_DOUBLE_EQ(cs.solo_duration(t), 5.0);
 }
 
 TEST(Ptask, ValidationErrors) {
@@ -145,26 +150,46 @@ TEST(Ptask, ValidationErrors) {
   t.flops = {1.0, -1.0};  // negative
   EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);
   t.flops.clear();
-  t.bytes = Matrix<double>(3, 3);  // wrong shape
+  t.messages = {{0, 2, 1.0}};  // rank 2 does not exist
   EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);
+  t.messages = {{-1, 1, 1.0}};
+  EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);
+  t.messages = {{0, 1, -1.0}};  // negative
+  EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);
+  t.messages = {{0, 1, 0.0}};  // an empty message is no communication
+  EXPECT_DOUBLE_EQ(cs.solo_duration(t), 0.0);
 }
 
 TEST(RedistributionPtask, MapsByteMatrixAcrossPlacements) {
-  Matrix<double> bytes(2, 3);
-  bytes(0, 0) = 5.0;
-  bytes(1, 2) = 7.0;
-  const auto t = make_redistribution_ptask({0, 1}, {2, 3, 1}, bytes, "r");
-  ASSERT_EQ(t.host_of_rank.size(), 5u);
-  EXPECT_DOUBLE_EQ(t.bytes(0, 2), 5.0);  // src rank 0 -> dst rank 0 (node 2)
-  EXPECT_DOUBLE_EQ(t.bytes(1, 4), 7.0);  // src rank 1 -> dst rank 2 (node 1)
-  EXPECT_DOUBLE_EQ(t.bytes.total(), 12.0);
-  EXPECT_TRUE(t.flops.empty());
+  // A redistribution from nodes {0, 1} to nodes {2, 3, 1}: source ranks
+  // 0..1 come first, destination ranks follow from 2. Source rank 1 ->
+  // destination rank 2 stays on node 1 and is a local copy.
+  auto spec = tiny();
+  spec.net.shared_backbone = false;
+  Engine e;
+  ClusterSim cs(e, spec);
+  Ptask t;
+  t.host_of_rank = {0, 1, 2, 3, 1};
+  t.messages = {{0, 2, 50.0}, {1, 4, 70.0}};
+  // Only node 0 -> node 2 crosses the network: 50 B at 10 B/s + 1 s.
+  EXPECT_DOUBLE_EQ(cs.solo_duration(t), 6.0);
+  cs.submit_ptask(t, nullptr);
+  e.run();
+  EXPECT_NEAR(e.resource_usage(cs.uplink(0)), 50.0, 1e-9);
+  EXPECT_NEAR(e.resource_usage(cs.downlink(2)), 50.0, 1e-9);
+  EXPECT_DOUBLE_EQ(e.resource_usage(cs.uplink(1)), 0.0);
+  EXPECT_DOUBLE_EQ(e.resource_usage(cs.downlink(1)), 0.0);
 }
 
 TEST(RedistributionPtask, ShapeMismatchThrows) {
-  Matrix<double> bytes(2, 2);
-  EXPECT_THROW(make_redistribution_ptask({0}, {1, 2}, bytes),
-               InvalidArgument);
+  // A message to a destination rank past the placement is rejected.
+  Engine e;
+  ClusterSim cs(e, tiny());
+  Ptask t;
+  t.host_of_rank = {0, 1, 2};
+  t.messages = {{0, 1, 5.0}, {0, 3, 5.0}};
+  EXPECT_THROW(cs.submit_ptask(t, nullptr), InvalidArgument);
+  EXPECT_THROW(cs.solo_duration(t), InvalidArgument);
 }
 
 TEST(Ptask, ZeroUsageCompletesInstantly) {
