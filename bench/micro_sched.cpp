@@ -155,9 +155,9 @@ void BM_TwoStepPipeline(benchmark::State& state) {
   const models::AnalyticalModel model(platform::bayreuth32());
   const models::SchedCostAdapter cost(model);
   const sched::HcpaAllocator hcpa;
-  const sched::TwoStepScheduler scheduler(hcpa, cost, 32);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.schedule(inst.graph));
+    benchmark::DoNotOptimize(sched::ListMapper{}.map(
+        inst.graph, hcpa.allocate(inst.graph, cost, 32), cost, 32));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
   const auto& model = lab.profile();
   const models::SchedCostAdapter cost(model);
   const sched::HcpaAllocator hcpa;
-  const auto schedule =
-      sched::TwoStepScheduler(hcpa, cost, lab.spec().num_nodes)
-          .schedule(inst.graph);
+  const int P = lab.spec().num_nodes;
+  const auto schedule = sched::ListMapper{}.map(
+      inst.graph, hcpa.allocate(inst.graph, cost, P), cost, P);
 
   std::vector<std::vector<int>> procs_of_task;
   for (const auto& pl : schedule.placements) procs_of_task.push_back(pl.procs);

@@ -4,13 +4,13 @@
 //
 // One event-loop thread (the caller of serve()) multiplexes every
 // connection over a core::net::Poller — no per-connection threads. A
-// connection may pipeline any number of requests; schedule requests are
-// dispatched to the service's worker pool and each connection gets
-// exactly one response frame per request, in request order (a
-// per-connection slot queue holds responses that finish out of order
-// until everything before them has been written). Wire format and
-// semantics are unchanged from the thread-per-connection server:
-// responses are byte-identical to a local Session::run.
+// connection may pipeline any number of requests; each schedule request
+// becomes one task on the service's worker pool, so pipelined requests
+// run on as many workers as are free. Each connection gets exactly one
+// response frame per request, in request order (a per-connection slot
+// queue holds responses that finish out of order until everything
+// before them has been written). Responses are byte-identical to a local
+// Session::run.
 //
 // Backpressure: a connection that has too many responses in flight, or
 // whose peer reads too slowly to drain its write buffer, stops being
@@ -66,10 +66,6 @@ struct RpcServerStats {
   /// Times a connection was paused for reading because it hit
   /// max_conn_inflight or max_write_buffer_bytes.
   std::uint64_t backpressure_pauses = 0;
-  /// Service micro-batcher counters (see ServiceBatchStats).
-  std::uint64_t batches = 0;
-  std::uint64_t batched_requests = 0;
-  std::uint64_t max_batch = 0;
 };
 
 class RpcServer {

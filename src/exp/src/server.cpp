@@ -46,10 +46,6 @@ RpcServerStats RpcServer::stats() const {
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.backpressure_pauses =
       backpressure_pauses_.load(std::memory_order_relaxed);
-  const ServiceBatchStats b = service_.batch_stats();
-  s.batches = b.batches;
-  s.batched_requests = b.batched_requests;
-  s.max_batch = b.max_batch;
   return s;
 }
 

@@ -80,19 +80,4 @@ class ListMapper {
   double sigma_ = 0.0;
 };
 
-/// Convenience: allocation followed by mapping.
-class TwoStepScheduler {
- public:
-  TwoStepScheduler(const class Allocator& allocator, const SchedCost& cost,
-                   int P)
-      : allocator_(allocator), cost_(cost), num_procs_(P) {}
-
-  Schedule schedule(const dag::Dag& g) const;
-
- private:
-  const Allocator& allocator_;
-  const SchedCost& cost_;
-  int num_procs_;
-};
-
 }  // namespace mtsched::sched

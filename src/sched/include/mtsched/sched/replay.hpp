@@ -25,6 +25,8 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "mtsched/dag/dag.hpp"
@@ -67,6 +69,10 @@ class DagReplay {
 
   /// Number of processors task `t` runs on.
   int procs(dag::TaskId t) const;
+
+  /// `prefix` followed by task `t`'s name while a trace is live, empty
+  /// otherwise: only trace events read activity names.
+  std::string traced_name(std::string_view prefix, dag::TaskId t) const;
 
   const dag::Dag& g_;
   const Schedule& s_;

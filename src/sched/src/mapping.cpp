@@ -9,7 +9,6 @@
 #include "mtsched/core/error.hpp"
 #include "mtsched/obs/trace.hpp"
 #include "mtsched/platform/topology.hpp"
-#include "mtsched/sched/allocation.hpp"
 
 namespace mtsched::sched {
 
@@ -430,11 +429,6 @@ Schedule ListMapper::map(const dag::Dag& g, const std::vector<int>& alloc,
 
   validate_schedule(g, s, P);
   return s;
-}
-
-Schedule TwoStepScheduler::schedule(const dag::Dag& g) const {
-  const auto alloc = allocator_.allocate(g, cost_, num_procs_);
-  return ListMapper{}.map(g, alloc, cost_, num_procs_);
 }
 
 }  // namespace mtsched::sched

@@ -57,6 +57,14 @@ int DagReplay::procs(dag::TaskId t) const {
   return static_cast<int>(s_.placement(t).procs.size());
 }
 
+std::string DagReplay::traced_name(std::string_view prefix,
+                                   dag::TaskId t) const {
+  if (!engine_.tracing()) return {};
+  std::string name(prefix);
+  name += g_.task(t).name;
+  return name;
+}
+
 void DagReplay::maybe_spawn(dag::TaskId t) {
   if (spawned_[t] || order_preds_left_[t] > 0) return;
   spawned_[t] = true;
@@ -88,8 +96,10 @@ void DagReplay::transfer(std::size_t e, double when) {
   // Ranks 0..p_src-1 run on the producer's processors, the consumer's
   // ranks follow them.
   simcore::Ptask pt;
-  pt.name =
-      "redist_" + std::to_string(edge.src) + "_" + std::to_string(edge.dst);
+  if (engine_.tracing()) {
+    pt.name =
+        "redist_" + std::to_string(edge.src) + "_" + std::to_string(edge.dst);
+  }
   pt.host_of_rank = src;
   pt.host_of_rank.insert(pt.host_of_rank.end(), dst.begin(), dst.end());
   pt.messages = redist::plan_block_redistribution(

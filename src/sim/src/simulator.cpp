@@ -1,5 +1,7 @@
 #include "mtsched/sim/simulator.hpp"
 
+#include <optional>
+
 #include "mtsched/core/error.hpp"
 #include "mtsched/sched/replay.hpp"
 
@@ -24,7 +26,7 @@ class SimReplay final : public sched::DagReplay {
     if (startup > 0.0) {
       engine_.submit_timer(
           startup, [this, t](double) { started(t); },
-          "startup_" + g_.task(t).name);
+          traced_name("startup_", t));
     } else {
       started(t);
     }
@@ -57,7 +59,7 @@ class SimReplay final : public sched::DagReplay {
       engine_.submit_timer(scaled, done, g_.task(t).name);
     } else {
       simcore::Ptask pt;
-      pt.name = g_.task(t).name;
+      pt.name = traced_name("", t);
       pt.host_of_rank = pl.procs;
       pt.flops = std::move(cost.flops_per_rank);
       pt.messages = std::move(cost.messages);
@@ -79,11 +81,15 @@ sched::RunTrace Simulator::run(const dag::Dag& g,
                                const sched::Schedule& s) const {
   const obs::Track trk = trace_ ? trace_ : obs::current_track();
   SimReplay replay(g, s, model_, trk);
-  const obs::Span obs_span(trk, "sim", "simulate:" + model_.name(),
-                           {{"tasks", std::to_string(g.num_tasks())},
-                            {"P", std::to_string(model_.spec().num_nodes)}});
+  std::optional<obs::Span> obs_span;
+  if (trk) {
+    obs_span.emplace(
+        trk, "sim", "simulate:" + model_.name(),
+        obs::Args{{"tasks", std::to_string(g.num_tasks())},
+                  {"P", std::to_string(model_.spec().num_nodes)}});
+  }
   sched::RunTrace trace = replay.run();
-  trk.counter("sim", "makespan_seconds", trace.makespan);
+  if (trk) trk.counter("sim", "makespan_seconds", trace.makespan);
   return trace;
 }
 

@@ -71,12 +71,14 @@ class Engine {
   /// before submitting: names are kept only while a trace is live.
   void set_trace(obs::Track t) { trace_ = t; }
 
+  /// True while a trace is live: callers build activity names only then.
+  bool tracing() const { return static_cast<bool>(trace_); }
+
   /// Registers a resource with the given positive capacity.
-  ResourceId add_resource(double capacity, std::string name = {});
+  ResourceId add_resource(double capacity);
 
   std::size_t num_resources() const { return capacities_.size(); }
   double capacity(ResourceId r) const;
-  const std::string& resource_name(ResourceId r) const;
 
   /// Submits an activity. `uses` lists resource usage weights (all > 0),
   /// `amount` is the work in the same units as the weights' numerators
@@ -133,7 +135,6 @@ class Engine {
   std::uint64_t events_ = 0;
   std::vector<double> capacities_;
   std::vector<double> usage_;
-  std::vector<std::string> resource_names_;
 
   // --- cold per-activity state, slot-slab indexed ------------------------
   std::vector<ActivityId> slot_id_;

@@ -17,27 +17,19 @@ ClusterSim::ClusterSim(Engine& engine, const platform::ClusterSpec& spec)
     for (std::size_t r = 0; r < racks; ++r) {
       const platform::RackSpec& rk = topo.racks[r];
       for (int k = 0; k < rk.nodes; ++k, ++node) {
-        const std::string tag = std::to_string(node);
-        cpus_.push_back(engine_.add_resource(spec_.flops_of(node),
-                                             "cpu" + tag));
-        up_.push_back(engine_.add_resource(rk.link_bandwidth, "up" + tag));
-        down_.push_back(engine_.add_resource(rk.link_bandwidth,
-                                             "down" + tag));
+        cpus_.push_back(engine_.add_resource(spec_.flops_of(node)));
+        up_.push_back(engine_.add_resource(rk.link_bandwidth));
+        down_.push_back(engine_.add_resource(rk.link_bandwidth));
         rack_of_.push_back(static_cast<int>(r));
       }
-      const std::string rtag = std::to_string(r);
-      tor_.push_back(rk.shared_tor
-                         ? engine_.add_resource(rk.tor_bandwidth, "tor" + rtag)
-                         : static_cast<ResourceId>(-1));
-      torup_.push_back(engine_.add_resource(rk.effective_uplink_bandwidth(),
-                                            "torup" + rtag));
-      tordown_.push_back(engine_.add_resource(rk.effective_uplink_bandwidth(),
-                                              "tordown" + rtag));
+      tor_.push_back(rk.shared_tor ? engine_.add_resource(rk.tor_bandwidth)
+                                   : static_cast<ResourceId>(-1));
+      torup_.push_back(engine_.add_resource(rk.effective_uplink_bandwidth()));
+      tordown_.push_back(
+          engine_.add_resource(rk.effective_uplink_bandwidth()));
     }
     has_core_ = topo.core.shared;
-    if (has_core_) {
-      core_ = engine_.add_resource(topo.core.bandwidth, "core");
-    }
+    if (has_core_) core_ = engine_.add_resource(topo.core.bandwidth);
     // Precompute per-rack-pair route latencies (same expressions as
     // Topology::route_latency, hoisted out of build_uses).
     rack_lat_.assign(racks * racks, 0.0);
@@ -53,14 +45,12 @@ ClusterSim::ClusterSim(Engine& engine, const platform::ClusterSpec& spec)
     return;
   }
   for (int i = 0; i < spec_.num_nodes; ++i) {
-    const std::string tag = std::to_string(i);
-    cpus_.push_back(engine_.add_resource(spec_.flops_of(i), "cpu" + tag));
-    up_.push_back(engine_.add_resource(spec_.net.link_bandwidth, "up" + tag));
-    down_.push_back(
-        engine_.add_resource(spec_.net.link_bandwidth, "down" + tag));
+    cpus_.push_back(engine_.add_resource(spec_.flops_of(i)));
+    up_.push_back(engine_.add_resource(spec_.net.link_bandwidth));
+    down_.push_back(engine_.add_resource(spec_.net.link_bandwidth));
   }
   if (spec_.net.shared_backbone) {
-    backbone_ = engine_.add_resource(spec_.net.backbone_bandwidth, "backbone");
+    backbone_ = engine_.add_resource(spec_.net.backbone_bandwidth);
   }
 }
 

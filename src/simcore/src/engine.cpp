@@ -35,24 +35,16 @@ void Engine::trace_state(std::uint32_t slot, const char* state) {
                  {{"state", state}, {"vt", core::fmt_roundtrip(now_)}});
 }
 
-ResourceId Engine::add_resource(double capacity, std::string name) {
+ResourceId Engine::add_resource(double capacity) {
   MTSCHED_REQUIRE(capacity > 0.0, "resource capacity must be positive");
   capacities_.push_back(capacity);
   usage_.push_back(0.0);
-  resource_names_.push_back(name.empty()
-                                ? "res" + std::to_string(capacities_.size() - 1)
-                                : std::move(name));
   return capacities_.size() - 1;
 }
 
 double Engine::capacity(ResourceId r) const {
   MTSCHED_REQUIRE(r < capacities_.size(), "unknown resource");
   return capacities_[r];
-}
-
-const std::string& Engine::resource_name(ResourceId r) const {
-  MTSCHED_REQUIRE(r < resource_names_.size(), "unknown resource");
-  return resource_names_[r];
 }
 
 ActivityId Engine::submit(std::vector<Use> uses, double amount, double delay,

@@ -1,5 +1,7 @@
 #include "mtsched/tgrid/emulator.hpp"
 
+#include <optional>
+
 #include "mtsched/core/error.hpp"
 #include "mtsched/core/rng.hpp"
 #include "mtsched/obs/trace.hpp"
@@ -38,7 +40,7 @@ class EmuReplay final : public sched::DagReplay {
     const double startup = machine_.startup_sample(procs(t), rng);
     engine_.submit_timer(
         startup, [this, t](double) { started(t); },
-        "startup_" + g_.task(t).name);
+        traced_name("startup_", t));
   }
 
   void request(std::size_t e) override {
@@ -60,7 +62,7 @@ class EmuReplay final : public sched::DagReplay {
         platform::exec_slowdown(cluster_.spec(), s_.placement(t).procs);
     engine_.submit_timer(
         exec, [this, t](double when) { finished(t, when); },
-        "exec_" + task.name);
+        traced_name("exec_", t));
   }
 
   const machine::MachineModel& machine_;
@@ -81,9 +83,12 @@ TGridEmulator::TGridEmulator(const machine::MachineModel& machine,
 sched::RunTrace TGridEmulator::run(const dag::Dag& g, const sched::Schedule& s,
                                    std::uint64_t seed) const {
   EmuReplay replay(g, s, spec_, machine_, seed);
-  const obs::Span obs_span(obs::current_track(), "tgrid", "execute",
-                           {{"tasks", std::to_string(g.num_tasks())},
-                            {"seed", std::to_string(seed)}});
+  std::optional<obs::Span> obs_span;
+  if (const obs::Track trk = obs::current_track()) {
+    obs_span.emplace(trk, "tgrid", "execute",
+                     obs::Args{{"tasks", std::to_string(g.num_tasks())},
+                               {"seed", std::to_string(seed)}});
+  }
   return replay.run();
 }
 

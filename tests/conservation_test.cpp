@@ -81,9 +81,9 @@ TEST_P(SimulatorBounds, MakespanWithinStructuralBounds) {
   const auto& model = lab().profile();
   const models::SchedCostAdapter cost(model);
   const sched::McpaAllocator mcpa;
-  const auto schedule =
-      sched::TwoStepScheduler(mcpa, cost, lab().spec().num_nodes)
-          .schedule(inst.graph);
+  const int P = lab().spec().num_nodes;
+  const auto schedule = sched::ListMapper{}.map(
+      inst.graph, mcpa.allocate(inst.graph, cost, P), cost, P);
   const double mk = sim::Simulator(model).makespan(inst.graph, schedule);
 
   double longest_task = 0.0;
@@ -119,9 +119,9 @@ TEST_P(NoiseSeparation, SimulationIgnoresExperimentSeed) {
   const auto& model = lab().profile();
   const models::SchedCostAdapter cost(model);
   const sched::HcpaAllocator hcpa;
-  const auto schedule =
-      sched::TwoStepScheduler(hcpa, cost, lab().spec().num_nodes)
-          .schedule(inst.graph);
+  const int P = lab().spec().num_nodes;
+  const auto schedule = sched::ListMapper{}.map(
+      inst.graph, hcpa.allocate(inst.graph, cost, P), cost, P);
   const double sim_mk = sim::Simulator(model).makespan(inst.graph, schedule);
   for (std::uint64_t seed : {1, 2}) {
     const double exp_mk = lab().rig().makespan(inst.graph, schedule, seed);

@@ -221,8 +221,9 @@ TEST(TwoStep, EndToEnd) {
   const auto inst = generate_random_dag({});
   const FlatCost cost(20.0, 1.0, 0.5);
   const CpaAllocator cpa;
-  const TwoStepScheduler scheduler(cpa, cost, 16);
-  const auto s = scheduler.schedule(inst.graph);
+  const auto s =
+      ListMapper{}.map(inst.graph, cpa.allocate(inst.graph, cost, 16), cost,
+                       16);
   EXPECT_NO_THROW(validate_schedule(inst.graph, s, 16));
   EXPECT_GT(s.est_makespan, 0.0);
 }

@@ -167,8 +167,9 @@ TEST(Simulator, DeterministicAcrossRuns) {
   const auto inst = dag::generate_random_dag(params);
   const models::SchedCostAdapter cost(model);
   const sched::CpaAllocator cpa;
-  const auto schedule =
-      sched::TwoStepScheduler(cpa, cost, spec.num_nodes).schedule(inst.graph);
+  const auto schedule = sched::ListMapper{}.map(
+      inst.graph, cpa.allocate(inst.graph, cost, spec.num_nodes), cost,
+      spec.num_nodes);
   const sim::Simulator simulator(model);
   EXPECT_DOUBLE_EQ(simulator.makespan(inst.graph, schedule),
                    simulator.makespan(inst.graph, schedule));
@@ -192,8 +193,9 @@ TEST(Simulator, TraceCsvHasAllRecords) {
   const auto inst = dag::generate_random_dag(params);
   const models::SchedCostAdapter cost(model);
   const sched::McpaAllocator mcpa;
-  const auto schedule =
-      sched::TwoStepScheduler(mcpa, cost, spec.num_nodes).schedule(inst.graph);
+  const auto schedule = sched::ListMapper{}.map(
+      inst.graph, mcpa.allocate(inst.graph, cost, spec.num_nodes), cost,
+      spec.num_nodes);
   const auto trace = sim::Simulator(model).run(inst.graph, schedule);
   const auto csv = trace.to_csv();
   std::size_t lines = 0, pos = 0;

@@ -142,9 +142,9 @@ TEST(Engine, StepReturnsFalseWhenIdle) {
 
 TEST(Engine, ResourceAccessors) {
   Engine e;
-  const auto r = e.add_resource(42.0, "mycpu");
+  const auto r = e.add_resource(42.0);
   EXPECT_DOUBLE_EQ(e.capacity(r), 42.0);
-  EXPECT_EQ(e.resource_name(r), "mycpu");
+  EXPECT_EQ(e.num_resources(), 1u);
   EXPECT_THROW(e.capacity(99), InvalidArgument);
 }
 
